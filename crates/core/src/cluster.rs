@@ -302,6 +302,85 @@ pub struct LinkSnapshot {
     pub rx_discards: u64,
 }
 
+/// The port → directed-link fold behind [`Cluster::link_snapshots`],
+/// resolved once per fabric: for every port (in [`Cluster::for_each_port`]
+/// order) the slot of the link its transmit half drives and the slot of
+/// the reverse hop its receive half belongs to. Folding the ports in that
+/// order is then a pass of indexed stores with no lookup or allocation,
+/// which is what lets [`Cluster::run_sampled`] read every link each tick.
+struct LinkPlan {
+    links: Vec<LinkId>,
+    /// `(tx slot, rx slot)` per port.
+    ports: Vec<(usize, usize)>,
+}
+
+impl LinkPlan {
+    fn resolve(cluster: &Cluster) -> Self {
+        let mut links = Vec::new();
+        let mut index = std::collections::HashMap::new();
+        let mut slot = |link: LinkId| {
+            *index.entry(link).or_insert_with(|| {
+                links.push(link);
+                links.len() - 1
+            })
+        };
+        let mut ports = Vec::new();
+        cluster.for_each_port(|p| {
+            let tx = slot(p.link);
+            let rx = slot(LinkId::new(p.link.to, p.link.from));
+            ports.push((tx, rx));
+        });
+        LinkPlan { links, ports }
+    }
+
+    /// One all-zero snapshot per link, in slot order.
+    fn blank(&self) -> Vec<LinkSnapshot> {
+        self.links
+            .iter()
+            .map(|&link| LinkSnapshot {
+                link,
+                tx_packets: 0,
+                tx_bytes: 0,
+                credits: 0,
+                allowance: 0,
+                credit_stall: SimTime::ZERO,
+                retransmits: 0,
+                retx_bytes: 0,
+                resyncs: 0,
+                resync_probes: 0,
+                rx_fifo_depth: 0,
+                rx_fifo_high_water: 0,
+                rx_discards: 0,
+            })
+            .collect()
+    }
+
+    /// Reads the cluster's port counters in place into `out` (from
+    /// [`LinkPlan::blank`]).
+    fn fold(&self, cluster: &Cluster, out: &mut [LinkSnapshot]) {
+        let mut ports = self.ports.iter();
+        cluster.for_each_port(|p| {
+            let &(tx, rx) = ports.next().expect("fabric ports are fixed at build");
+            let s = &mut out[tx];
+            debug_assert_eq!(s.link, p.link, "port order changed since resolve");
+            s.tx_packets = p.tx_packets;
+            s.tx_bytes = p.tx_bytes;
+            s.credits = p.credits;
+            s.allowance = p.allowance;
+            s.credit_stall = p.credit_stall;
+            s.retransmits = p.retransmits;
+            s.retx_bytes = p.retx_bytes;
+            s.resyncs = p.resyncs;
+            s.resync_probes = p.resync_probes;
+            // The receive half of this element belongs to the reverse hop.
+            let r = &mut out[rx];
+            r.rx_fifo_depth = p.rx_fifo_depth;
+            r.rx_fifo_high_water = p.rx_fifo_high_water;
+            r.rx_discards = p.rx_discards;
+        });
+    }
+}
+
 /// Queue and link state of one workstation when the watchdog tripped.
 #[derive(Clone, Debug)]
 pub struct StalledNode {
@@ -1064,64 +1143,26 @@ impl Cluster {
     /// [`LinkSnapshot`] per directed link, in a deterministic order
     /// (switch ports in fabric order, then node uplinks).
     pub fn link_snapshots(&self) -> Vec<LinkSnapshot> {
-        let mut ports = Vec::new();
+        let plan = LinkPlan::resolve(self);
+        let mut out = plan.blank();
+        plan.fold(self, &mut out);
+        out
+    }
+
+    /// Calls `f` with the snapshot of every fabric port, without
+    /// allocating: switch ports in fabric order, then node uplinks.
+    fn for_each_port(&self, mut f: impl FnMut(tg_net::PortSnapshot)) {
         for &id in &self.switches {
-            let sw = self
-                .engine
+            self.engine
                 .get::<tg_net::Switch>(id)
-                .expect("switch component");
-            ports.extend(sw.port_snapshots());
+                .expect("switch component")
+                .for_each_port_snapshot(&mut f);
         }
         for i in 0..self.n {
-            ports.extend(self.node(i).hib().port_snapshot());
+            if let Some(p) = self.node(i).hib().port_snapshot() {
+                f(p);
+            }
         }
-        let mut order: Vec<LinkId> = Vec::with_capacity(ports.len());
-        let mut index: std::collections::HashMap<LinkId, usize> =
-            std::collections::HashMap::with_capacity(ports.len());
-        let mut slot =
-            |link: LinkId, order: &mut Vec<LinkId>, out: &mut Vec<LinkSnapshot>| -> usize {
-                *index.entry(link).or_insert_with(|| {
-                    order.push(link);
-                    out.push(LinkSnapshot {
-                        link,
-                        tx_packets: 0,
-                        tx_bytes: 0,
-                        credits: 0,
-                        allowance: 0,
-                        credit_stall: SimTime::ZERO,
-                        retransmits: 0,
-                        retx_bytes: 0,
-                        resyncs: 0,
-                        resync_probes: 0,
-                        rx_fifo_depth: 0,
-                        rx_fifo_high_water: 0,
-                        rx_discards: 0,
-                    });
-                    out.len() - 1
-                })
-            };
-        let mut out: Vec<LinkSnapshot> = Vec::with_capacity(ports.len());
-        for p in &ports {
-            let i = slot(p.link, &mut order, &mut out);
-            let s = &mut out[i];
-            s.tx_packets = p.tx_packets;
-            s.tx_bytes = p.tx_bytes;
-            s.credits = p.credits;
-            s.allowance = p.allowance;
-            s.credit_stall = p.credit_stall;
-            s.retransmits = p.retransmits;
-            s.retx_bytes = p.retx_bytes;
-            s.resyncs = p.resyncs;
-            s.resync_probes = p.resync_probes;
-            // The receive half of this element belongs to the reverse hop.
-            let rev = LinkId::new(p.link.to, p.link.from);
-            let j = slot(rev, &mut order, &mut out);
-            let r = &mut out[j];
-            r.rx_fifo_depth = p.rx_fifo_depth;
-            r.rx_fifo_high_water = p.rx_fifo_high_water;
-            r.rx_discards = p.rx_discards;
-        }
-        out
     }
 
     /// Structured link errors recorded anywhere in the fabric, with the
@@ -1266,18 +1307,23 @@ impl Cluster {
         let switch_depth: Vec<_> = (0..self.switches.len())
             .map(|k| metrics.series(&metric::site_metric(Site::Switch(k as u16), "fifo_depth")))
             .collect();
-        let links = self.link_snapshots();
-        let link_series: Vec<_> = links
+        // Resolve the sample plan once; each tick then reads counters in
+        // place into `now_links` and appends one sample per series.
+        let plan = LinkPlan::resolve(self);
+        let link_series: Vec<_> = plan
+            .links
             .iter()
             .map(|l| {
                 (
-                    metrics.series(&metric::link_metric(l.link.from, l.link.to, "utilization")),
-                    metrics.series(&metric::link_metric(l.link.from, l.link.to, "fifo_depth")),
-                    metrics.series(&metric::link_metric(l.link.from, l.link.to, "stall_us")),
+                    metrics.series(&metric::link_metric(l.from, l.to, "utilization")),
+                    metrics.series(&metric::link_metric(l.from, l.to, "fifo_depth")),
+                    metrics.series(&metric::link_metric(l.from, l.to, "stall_us")),
                 )
             })
             .collect();
-        let mut prev_link_bytes: Vec<u64> = links.iter().map(|l| l.tx_bytes).collect();
+        let mut now_links = plan.blank();
+        plan.fold(self, &mut now_links);
+        let mut prev_link_bytes: Vec<u64> = now_links.iter().map(|l| l.tx_bytes).collect();
         let mut prev_bytes = self.fabric_bytes();
         let limit = loop {
             let target = self.now() + interval;
@@ -1293,38 +1339,26 @@ impl Cluster {
                 self.timing.serialize(delta).as_us_f64() / interval.as_us_f64(),
             );
             let mut stall = SimTime::ZERO;
-            for report in self.component_stats() {
-                match report.detail {
-                    ComponentDetail::Node {
-                        credit_stall,
-                        rx_fifo_depth,
-                        ..
-                    } => {
-                        stall += credit_stall;
-                        let i = report.name.trim_start_matches("node");
-                        if let Ok(i) = i.parse::<usize>() {
-                            metrics.record(node_depth[i], at, rx_fifo_depth as f64);
-                        }
-                    }
-                    ComponentDetail::Switch {
-                        credit_stall,
-                        fifo_depth,
-                        ..
-                    } => {
-                        stall += credit_stall;
-                        let k = report.name.trim_start_matches("switch");
-                        if let Ok(k) = k.parse::<usize>() {
-                            metrics.record(switch_depth[k], at, fifo_depth as f64);
-                        }
-                    }
-                }
+            for (i, &series) in node_depth.iter().enumerate() {
+                let node = self.node(i as u16);
+                stall += node.credit_stall();
+                metrics.record(series, at, node.rx_fifo_depth() as f64);
+            }
+            for (&id, &series) in self.switches.iter().zip(&switch_depth) {
+                let sw = self
+                    .engine
+                    .get::<tg_net::Switch>(id)
+                    .expect("switch component");
+                stall += sw.credit_stall();
+                metrics.record(series, at, sw.fifo_depth_total() as f64);
             }
             metrics.record(stall_series, at, stall.as_us_f64());
-            for (i, l) in self.link_snapshots().iter().enumerate() {
-                let (util_s, depth_s, stall_s) = link_series[i];
-                let delta =
-                    (l.tx_bytes.saturating_sub(prev_link_bytes[i])).min(u64::from(u32::MAX)) as u32;
-                prev_link_bytes[i] = l.tx_bytes;
+            plan.fold(self, &mut now_links);
+            for ((l, &(util_s, depth_s, stall_s)), prev) in
+                now_links.iter().zip(&link_series).zip(&mut prev_link_bytes)
+            {
+                let delta = (l.tx_bytes.saturating_sub(*prev)).min(u64::from(u32::MAX)) as u32;
+                *prev = l.tx_bytes;
                 metrics.record(
                     util_s,
                     at,
@@ -1374,8 +1408,9 @@ impl Cluster {
             }
         }
         // Per-link traffic and reliability totals under the canonical
-        // `link.<a>-<b>.<metric>` names.
-        for l in self.link_snapshots() {
+        // `link.<a>-<b>.<metric>` names (`now_links` is the final state:
+        // nothing ran since the last tick read it).
+        for l in &now_links {
             let name = |leaf: &str| metric::link_metric(l.link.from, l.link.to, leaf);
             let totals = [
                 ("tx_packets", l.tx_packets),

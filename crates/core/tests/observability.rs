@@ -6,8 +6,11 @@ use std::collections::HashMap;
 use telegraphos::observe::{
     breakdown_report, chrome_events, chrome_trace_json, json_is_wellformed,
 };
-use telegraphos::{Action, Cluster, ClusterBuilder, ComponentDetail, Script};
+use telegraphos::sync::{BarrierWait, SyncStep};
+use telegraphos::{Action, Cluster, ClusterBuilder, ComponentDetail, Process, Resume, Script};
+use tg_net::Topology;
 use tg_sim::{MetricsRegistry, SimTime};
+use tg_wire::metric;
 use tg_wire::trace::{OpKind, Stage};
 
 /// Two nodes; node 0 exercises remote writes, a blocking read and an
@@ -214,14 +217,138 @@ fn run_sampled_populates_the_metrics_registry() {
         .expect("series registered");
     assert!(!samples.is_empty(), "no samples recorded");
     // Cumulative byte counts never decrease and end positive.
-    for w in samples.windows(2) {
-        assert!(w[0].value <= w[1].value);
-        assert!(w[0].at <= w[1].at);
+    for (a, b) in samples.iter().zip(samples.iter().skip(1)) {
+        assert!(a.value <= b.value);
+        assert!(a.at <= b.at);
     }
     assert!(samples.last().unwrap().value > 0.0);
 
     assert_eq!(metrics.counter_by_name("node0.remote_writes"), Some(1));
     assert!(metrics.series_by_name("node0.rx_fifo_depth").is_some());
+}
+
+/// A stencil-shaped sweep: each sweep publishes `words` boundary words
+/// into this node's eager-update page (multicast to its neighbours), then
+/// meets every other node at a fetch-add barrier homed on node 0.
+struct Sweeps {
+    boundary: telegraphos::SharedPage,
+    barrier: BarrierWait,
+    counter: tg_mem::VAddr,
+    sense: tg_mem::VAddr,
+    nodes: u64,
+    words: u64,
+    sweeps: u32,
+    done: u32,
+    word: u64,
+}
+
+impl Process for Sweeps {
+    fn resume(&mut self, r: Resume) -> Action {
+        if self.done == self.sweeps {
+            return Action::Halt;
+        }
+        if self.word < self.words {
+            self.word += 1;
+            let value = u64::from(self.done) * 1000 + self.word;
+            return Action::Write(self.boundary.va((self.word - 1) * 8), value);
+        }
+        match self.barrier.step(r) {
+            SyncStep::Do(a) => a,
+            SyncStep::Ready => {
+                self.done += 1;
+                self.word = 0;
+                let sense = u64::from(self.done % 2);
+                self.barrier = BarrierWait::new(self.counter, self.sense, self.nodes, sense);
+                self.resume(Resume::Start)
+            }
+        }
+    }
+}
+
+/// Regression: the sampler reads component counters in place on every
+/// tick; its series must agree with the snapshot path (`link_snapshots`,
+/// `component_stats`) that it replaced.
+#[test]
+fn in_place_sampler_agrees_with_the_snapshot_path() {
+    let n = 16u16;
+    // One-packet endpoint FIFOs make the switch's output ports stall too,
+    // not only the node uplinks.
+    let mut cluster = ClusterBuilder::new(n)
+        .topology(Topology::star(n).with_endpoint_fifo(1))
+        .build();
+    let boundary: Vec<_> = (0..n).map(|i| cluster.alloc_shared(i)).collect();
+    for i in 0..n {
+        let consumers: Vec<u16> = [i.checked_sub(1), Some(i + 1).filter(|&j| j < n)]
+            .into_iter()
+            .flatten()
+            .collect();
+        cluster.make_eager(&boundary[usize::from(i)], &consumers);
+    }
+    let coord = cluster.alloc_shared(0);
+    for i in 0..n {
+        cluster.set_process(
+            i,
+            Sweeps {
+                boundary: boundary[usize::from(i)],
+                barrier: BarrierWait::new(coord.va(0), coord.va(8), u64::from(n), 0),
+                counter: coord.va(0),
+                sense: coord.va(8),
+                nodes: u64::from(n),
+                words: 8,
+                sweeps: 4,
+                done: 0,
+                word: 0,
+            },
+        );
+    }
+    let mut metrics = MetricsRegistry::new();
+    cluster.run_sampled(SimTime::from_us(1), &mut metrics);
+    assert!(cluster.all_halted());
+
+    let last = |name: &str| {
+        metrics
+            .series_by_name(name)
+            .unwrap_or_else(|| panic!("{name} not sampled"))
+            .last()
+            .expect("sampled at least once")
+            .value
+    };
+    let links = cluster.link_snapshots();
+    assert!(
+        links.len() >= 2 * usize::from(n),
+        "every uplink pair sampled"
+    );
+    for l in &links {
+        let name = |leaf: &str| metric::link_metric(l.link.from, l.link.to, leaf);
+        assert_eq!(
+            last(&name("fifo_depth")).to_bits(),
+            f64::from(l.rx_fifo_depth).to_bits()
+        );
+        assert_eq!(
+            last(&name("stall_us")).to_bits(),
+            l.credit_stall.as_us_f64().to_bits()
+        );
+    }
+    let (mut node_stall, mut switch_stall) = (SimTime::ZERO, SimTime::ZERO);
+    for r in cluster.component_stats() {
+        match r.detail {
+            ComponentDetail::Node { credit_stall, .. } => node_stall += credit_stall,
+            ComponentDetail::Switch { credit_stall, .. } => switch_stall += credit_stall,
+        }
+    }
+    assert!(!node_stall.is_zero(), "no node uplink ever stalled");
+    assert!(!switch_stall.is_zero(), "no switch port ever stalled");
+    let stall = node_stall + switch_stall;
+    assert_eq!(
+        last("fabric.credit_stall_us").to_bits(),
+        stall.as_us_f64().to_bits()
+    );
+    let counts: Vec<usize> = metrics.all_series().map(|(_, s)| s.len()).collect();
+    assert!(counts[0] > 1);
+    assert!(
+        counts.iter().all(|&c| c == counts[0]),
+        "every series is sampled on every tick"
+    );
 }
 
 #[test]

@@ -391,11 +391,18 @@ impl Switch {
     /// input FIFO fed by the reverse hop (links come in bidirectional
     /// pairs, so output `i` and input `i` share a neighbor).
     pub fn port_snapshots(&self) -> Vec<PortSnapshot> {
-        self.out
-            .iter()
-            .enumerate()
-            .filter_map(|(i, tx)| tx.as_ref().map(|tx| (i, tx)))
-            .map(|(i, tx)| PortSnapshot {
+        let mut out = Vec::new();
+        self.for_each_port_snapshot(|p| out.push(p));
+        out
+    }
+
+    /// Calls `f` with the snapshot of every attached output port, in port
+    /// order, without allocating: the in-place counter read behind
+    /// [`Switch::port_snapshots`] and a periodic sampler's tick.
+    pub fn for_each_port_snapshot(&self, mut f: impl FnMut(PortSnapshot)) {
+        for (i, tx) in self.out.iter().enumerate() {
+            let Some(tx) = tx else { continue };
+            f(PortSnapshot {
                 link: tx
                     .link()
                     .unwrap_or_else(|| LinkId::new(self.site, self.site)),
@@ -415,8 +422,8 @@ impl Switch {
                     .get(i)
                     .and_then(Option::as_ref)
                     .map_or(0, |rx| rx.corrupt_discards() + rx.seq_discards()),
-            })
-            .collect()
+            });
+        }
     }
 
     /// Neighbor-originated protocol violations and dead-link declarations

@@ -1,7 +1,6 @@
 //! The deterministic event engine.
 
 use std::any::Any;
-use std::collections::VecDeque;
 use std::fmt;
 use std::time::Instant;
 
@@ -184,23 +183,6 @@ struct Scheduled<M> {
     msg: M,
 }
 
-/// One delivered event, as recorded by the trace facility.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct TraceEntry {
-    /// Delivery time.
-    pub at: SimTime,
-    /// Scheduling sequence number: the engine delivers events in strict
-    /// `(at, seq)` order, so trace entries are totally ordered even across
-    /// same-instant ties.
-    pub seq: u64,
-    /// Receiving component.
-    pub dst: CompId,
-    /// The component's registered name at delivery time.
-    pub component: String,
-    /// `Debug` rendering of the event.
-    pub event: String,
-}
-
 /// An observer invoked on every event delivery (time, scheduling sequence
 /// number, destination), installed with [`Engine::set_delivery_hook`].
 pub type DeliveryHook = Box<dyn FnMut(SimTime, u64, CompId)>;
@@ -211,8 +193,8 @@ pub type DeliveryHook = Box<dyn FnMut(SimTime, u64, CompId)>;
 /// See the [crate docs](crate) for a complete example.
 pub struct Engine<M> {
     components: Vec<Box<dyn Component<M>>>,
-    /// Component names captured once at registration, so the trace path
-    /// never makes a virtual `name()` call (or re-allocates) per event.
+    /// Component names captured once at registration, so name lookups
+    /// never make a virtual `name()` call.
     names: Vec<Box<str>>,
     queue: EventQueue<Scheduled<M>>,
     now: SimTime,
@@ -228,8 +210,6 @@ pub struct Engine<M> {
     /// are still "pending" for queue-depth accounting even though they
     /// have left the queue.
     in_batch: usize,
-    #[allow(clippy::type_complexity)]
-    trace: Option<(usize, VecDeque<TraceEntry>, Box<dyn Fn(&M) -> String>)>,
     hook: Option<DeliveryHook>,
 }
 
@@ -275,7 +255,6 @@ impl<M: 'static> Engine<M> {
             outbox: Vec::new(),
             batch: Vec::new(),
             in_batch: 0,
-            trace: None,
             hook: None,
         }
     }
@@ -284,44 +263,6 @@ impl<M: 'static> Engine<M> {
     /// a calendar-to-heap degrade).
     pub fn queue_kind(&self) -> QueueKind {
         self.queue.kind()
-    }
-
-    /// Enables event tracing, keeping the most recent `capacity` delivered
-    /// events (a debugging flight recorder). Requires `M: Debug`.
-    pub fn enable_trace(&mut self, capacity: usize)
-    where
-        M: std::fmt::Debug,
-    {
-        self.trace = Some((
-            capacity.max(1),
-            VecDeque::new(),
-            Box::new(|m: &M| format!("{m:?}")),
-        ));
-    }
-
-    /// Drains and returns everything recorded so far, leaving tracing
-    /// *enabled*: subsequent deliveries keep being recorded, so callers can
-    /// poll the flight recorder incrementally. Returns an empty vector when
-    /// tracing was never enabled. Use [`Engine::disable_trace`] to turn the
-    /// recorder off.
-    pub fn take_trace(&mut self) -> Vec<TraceEntry> {
-        self.trace
-            .as_mut()
-            .map(|(_, buf, _)| buf.drain(..).collect())
-            .unwrap_or_default()
-    }
-
-    /// Disables tracing and returns whatever was still recorded.
-    pub fn disable_trace(&mut self) -> Vec<TraceEntry> {
-        self.trace
-            .take()
-            .map(|(_, buf, _)| buf.into_iter().collect())
-            .unwrap_or_default()
-    }
-
-    /// The recorded trace so far (empty when tracing is off).
-    pub fn trace(&self) -> impl Iterator<Item = &TraceEntry> {
-        self.trace.iter().flat_map(|(_, buf, _)| buf.iter())
     }
 
     /// Installs an observer called on every delivery with `(at, seq, dst)`.
@@ -436,7 +377,7 @@ impl<M: 'static> Engine<M> {
         true
     }
 
-    /// Delivers one already-popped event: counters, hook, trace, the
+    /// Delivers one already-popped event: counters, hook, the
     /// component's handler, and the outbox drain.
     #[inline(always)]
     fn deliver(&mut self, at: SimTime, seq: u64, sched: Scheduled<M>) {
@@ -445,22 +386,6 @@ impl<M: 'static> Engine<M> {
         self.comp_stats[dst.index()].delivered += 1;
         if let Some(hook) = self.hook.as_mut() {
             hook(at, seq, dst);
-        }
-        if let Some((cap, buf, render)) = self.trace.as_mut() {
-            if buf.len() == *cap {
-                buf.pop_front();
-            }
-            buf.push_back(TraceEntry {
-                at,
-                seq,
-                dst,
-                component: self
-                    .names
-                    .get(dst.index())
-                    .map(|n| n.to_string())
-                    .unwrap_or_default(),
-                event: render(&msg),
-            });
         }
 
         let mut outbox = std::mem::take(&mut self.outbox);
@@ -798,80 +723,20 @@ mod tests {
         eng.schedule(SimTime::ZERO, CompId(3), 0);
     }
 
+    /// Property: the delivery order the hook observes IS the engine's
+    /// documented `(at, seq)` order, including dense same-instant ties,
+    /// and every delivery carries the sequence number that proves it.
     #[test]
-    fn trace_records_recent_events() {
+    fn delivery_order_matches_at_seq_order() {
+        use std::cell::RefCell;
+        use std::rc::Rc;
         let mut eng: Engine<u32> = Engine::new();
         let r = eng.add(Recorder { seen: Vec::new() });
-        eng.enable_trace(3);
-        for i in 0..5 {
-            eng.schedule(SimTime::from_ns(i), r, i as u32);
-        }
-        eng.run();
-        let trace = eng.take_trace();
-        assert_eq!(trace.len(), 3, "bounded to capacity");
-        assert_eq!(trace[0].event, "2");
-        assert_eq!(trace[2].event, "4");
-        assert_eq!(trace[0].component, "recorder");
-    }
-
-    /// Regression: `take_trace` drains but must NOT disable the recorder.
-    /// (It previously `take`d the whole `Option`, so the first drain
-    /// silently switched tracing off.)
-    #[test]
-    fn take_trace_drains_and_keeps_recording() {
-        let mut eng: Engine<u32> = Engine::new();
-        let r = eng.add(Recorder { seen: Vec::new() });
-        eng.enable_trace(8);
-        eng.schedule(SimTime::ZERO, r, 1);
-        eng.run();
-        assert_eq!(eng.take_trace().len(), 1);
-        assert_eq!(eng.take_trace().len(), 0, "drained");
-        // Still enabled: later deliveries are recorded.
-        eng.schedule(SimTime::ZERO, r, 2);
-        eng.run();
-        assert_eq!(eng.trace().count(), 1);
-        let trace = eng.take_trace();
-        assert_eq!(trace.len(), 1);
-        assert_eq!(trace[0].event, "2");
-        // disable_trace is the off switch.
-        eng.schedule(SimTime::ZERO, r, 3);
-        eng.run();
-        assert_eq!(eng.disable_trace().len(), 1);
-        eng.schedule(SimTime::ZERO, r, 4);
-        eng.run();
-        assert_eq!(eng.trace().count(), 0, "off after disable_trace");
-        assert_eq!(eng.take_trace().len(), 0);
-    }
-
-    /// `enable_trace(0)` clamps to one slot rather than panicking or
-    /// recording nothing, and survives repeated drains.
-    #[test]
-    fn enable_trace_zero_capacity_keeps_latest_event() {
-        let mut eng: Engine<u32> = Engine::new();
-        let r = eng.add(Recorder { seen: Vec::new() });
-        eng.enable_trace(0);
-        for i in 0..4u32 {
-            eng.schedule(SimTime::from_ns(u64::from(i)), r, i);
-        }
-        eng.run();
-        let trace = eng.take_trace();
-        assert_eq!(trace.len(), 1, "capacity clamped to 1");
-        assert_eq!(trace[0].event, "3", "keeps the most recent event");
-        eng.schedule(SimTime::ZERO, r, 7);
-        eng.run();
-        let trace = eng.take_trace();
-        assert_eq!(trace.len(), 1, "still recording after the drain");
-        assert_eq!(trace[0].event, "7");
-    }
-
-    /// Property: the recorded trace order IS the engine's documented
-    /// `(at, seq)` delivery order, including dense same-instant ties, and
-    /// every entry carries the sequence number that proves it.
-    #[test]
-    fn trace_order_matches_at_seq_delivery_order() {
-        let mut eng: Engine<u32> = Engine::new();
-        let r = eng.add(Recorder { seen: Vec::new() });
-        eng.enable_trace(1000);
+        let seen: Rc<RefCell<Vec<(u64, u64)>>> = Rc::default();
+        let sink = Rc::clone(&seen);
+        eng.set_delivery_hook(Box::new(move |at, seq, _dst| {
+            sink.borrow_mut().push((at.as_ps(), seq));
+        }));
         let mut rng = crate::SimRng::new(7);
         let mut expected: Vec<(u64, u64)> = Vec::new();
         for i in 0..400u64 {
@@ -881,16 +746,15 @@ mod tests {
         }
         expected.sort(); // stable (at, seq) lexicographic reference
         eng.run();
-        let trace = eng.take_trace();
-        assert_eq!(trace.len(), 400);
-        let got: Vec<(u64, u64)> = trace.iter().map(|e| (e.at.as_ps(), e.seq)).collect();
-        assert_eq!(got, expected, "trace order == (at, seq) delivery order");
+        let got = seen.borrow();
+        assert_eq!(got.len(), 400);
+        assert_eq!(*got, expected, "hook order == (at, seq) delivery order");
         // Redundant but explicit: (at, seq) is strictly increasing, so ties
         // on `at` are broken by schedule order.
-        for w in trace.windows(2) {
+        for w in got.windows(2) {
             assert!(
-                (w[0].at, w[0].seq) < (w[1].at, w[1].seq),
-                "trace must be strictly ordered by (at, seq)"
+                w[0] < w[1],
+                "deliveries must be strictly ordered by (at, seq)"
             );
         }
     }

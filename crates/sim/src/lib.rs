@@ -49,9 +49,9 @@ mod time;
 
 pub use engine::{
     CompId, Component, ComponentStats, Ctx, DeliveryHook, Engine, EngineStats, ProgressMeter,
-    RunLimit, TraceEntry, WatchdogOutcome,
+    RunLimit, WatchdogOutcome,
 };
-pub use metrics::{CounterId, GaugeId, MetricsRegistry, Sample, SeriesId};
+pub use metrics::{CounterId, GaugeId, MetricsRegistry, Sample, SeriesId, SeriesIter, SeriesView};
 pub use queue::QueueKind;
 pub use rng::SimRng;
 pub use stats::{Histogram, LogHistogram, Summary};

@@ -14,7 +14,11 @@
 //! - **gauge** — a last-written `f64` with a tracked maximum (current
 //!   queue depth, utilization).
 //! - **series** — `(SimTime, f64)` samples appended by a periodic
-//!   sampler, for post-run plotting and export.
+//!   sampler, for post-run plotting and export. A series is stored as
+//!   change-point runs: consecutive samples with a bit-identical value at
+//!   evenly spaced instants share one run, so a 1 µs sampler over a mostly
+//!   idle queue costs memory per *change*, not per tick. Reads go through
+//!   a [`SeriesView`], which replays every sample exactly.
 //!
 //! Iteration order is registration order everywhere, keeping reports and
 //! exported JSON deterministic across runs.
@@ -45,6 +49,129 @@ pub struct Sample {
     pub value: f64,
 }
 
+/// Samples `first_at + step·k` for `k` in `0..len`, all with `value`.
+#[derive(Clone, Copy, Debug)]
+struct Run {
+    first_at: SimTime,
+    /// Picoseconds between consecutive samples (0 until the run has two).
+    step: u64,
+    value: f64,
+    len: u64,
+}
+
+impl Run {
+    fn at(&self, k: u64) -> SimTime {
+        SimTime::from_ps(self.first_at.as_ps() + self.step * k)
+    }
+
+    fn last_at(&self) -> SimTime {
+        self.at(self.len - 1)
+    }
+
+    /// Extends the run by `(at, value)` when the value is bit-identical and
+    /// `at` continues the run's even step; false leaves the run untouched.
+    fn extend(&mut self, at: SimTime, value: f64) -> bool {
+        if value.to_bits() != self.value.to_bits() {
+            return false;
+        }
+        let gap = at.as_ps() - self.last_at().as_ps();
+        if self.len == 1 {
+            self.step = gap;
+        } else if gap != self.step {
+            return false;
+        }
+        self.len += 1;
+        true
+    }
+}
+
+/// One series: its runs plus the total sample count.
+#[derive(Debug, Default)]
+struct Series {
+    runs: Vec<Run>,
+    len: usize,
+}
+
+impl Series {
+    fn view(&self) -> SeriesView<'_> {
+        SeriesView {
+            runs: &self.runs,
+            len: self.len,
+        }
+    }
+}
+
+/// Read-only view of a series' samples, replayed in recording order from
+/// the change-point runs they are stored as.
+#[derive(Clone, Copy, Debug)]
+pub struct SeriesView<'a> {
+    runs: &'a [Run],
+    len: usize,
+}
+
+impl<'a> SeriesView<'a> {
+    /// Number of samples.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when nothing was recorded.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The most recent sample.
+    pub fn last(&self) -> Option<Sample> {
+        self.runs.last().map(|r| Sample {
+            at: r.last_at(),
+            value: r.value,
+        })
+    }
+
+    /// Every sample, in recording order.
+    pub fn iter(&self) -> SeriesIter<'a> {
+        SeriesIter {
+            runs: self.runs,
+            k: 0,
+        }
+    }
+}
+
+impl<'a> IntoIterator for SeriesView<'a> {
+    type Item = Sample;
+    type IntoIter = SeriesIter<'a>;
+
+    fn into_iter(self) -> SeriesIter<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over the samples of a [`SeriesView`].
+#[derive(Clone, Debug)]
+pub struct SeriesIter<'a> {
+    runs: &'a [Run],
+    /// Index of the next sample within `runs[0]`.
+    k: u64,
+}
+
+impl Iterator for SeriesIter<'_> {
+    type Item = Sample;
+
+    fn next(&mut self) -> Option<Sample> {
+        let (run, rest) = self.runs.split_first()?;
+        let sample = Sample {
+            at: run.at(self.k),
+            value: run.value,
+        };
+        self.k += 1;
+        if self.k == run.len {
+            self.runs = rest;
+            self.k = 0;
+        }
+        Some(sample)
+    }
+}
+
 #[derive(Debug)]
 struct Gauge {
     value: f64,
@@ -59,7 +186,7 @@ pub struct MetricsRegistry {
     gauge_names: Vec<Box<str>>,
     gauges: Vec<Gauge>,
     series_names: Vec<Box<str>>,
-    series: Vec<Vec<Sample>>,
+    series: Vec<Series>,
     lookup: HashMap<Box<str>, Instrument>,
 }
 
@@ -166,7 +293,7 @@ impl MetricsRegistry {
             None => {
                 let i = self.series.len();
                 self.series_names.push(name.into());
-                self.series.push(Vec::new());
+                self.series.push(Series::default());
                 self.lookup.insert(name.into(), Instrument::Series(i));
                 SeriesId(i)
             }
@@ -181,15 +308,27 @@ impl MetricsRegistry {
     /// sampler drives forward in simulated time, so a regression is a bug.
     pub fn record(&mut self, id: SeriesId, at: SimTime, value: f64) {
         let s = &mut self.series[id.0];
-        if let Some(last) = s.last() {
-            assert!(at >= last.at, "series sample time went backwards");
+        let extended = match s.runs.last_mut() {
+            Some(run) => {
+                assert!(at >= run.last_at(), "series sample time went backwards");
+                run.extend(at, value)
+            }
+            None => false,
+        };
+        if !extended {
+            s.runs.push(Run {
+                first_at: at,
+                step: 0,
+                value,
+                len: 1,
+            });
         }
-        s.push(Sample { at, value });
+        s.len += 1;
     }
 
     /// The samples of a series, in recording order.
-    pub fn samples(&self, id: SeriesId) -> &[Sample] {
-        &self.series[id.0]
+    pub fn samples(&self, id: SeriesId) -> SeriesView<'_> {
+        self.series[id.0].view()
     }
 
     /// Looks up a counter's value by name.
@@ -217,9 +356,9 @@ impl MetricsRegistry {
     }
 
     /// Looks up a series' samples by name.
-    pub fn series_by_name(&self, name: &str) -> Option<&[Sample]> {
+    pub fn series_by_name(&self, name: &str) -> Option<SeriesView<'_>> {
         match self.lookup.get(name) {
-            Some(Instrument::Series(i)) => Some(&self.series[*i]),
+            Some(Instrument::Series(i)) => Some(self.series[*i].view()),
             _ => None,
         }
     }
@@ -248,11 +387,11 @@ impl MetricsRegistry {
     }
 
     /// All series as `(name, samples)`, in registration order.
-    pub fn all_series(&self) -> impl Iterator<Item = (&str, &[Sample])> {
+    pub fn all_series(&self) -> impl Iterator<Item = (&str, SeriesView<'_>)> {
         self.series_names
             .iter()
             .zip(self.series.iter())
-            .map(|(n, s)| (&**n, s.as_slice()))
+            .map(|(n, s)| (&**n, s.view()))
     }
 
     /// Total number of registered instruments.
@@ -320,8 +459,71 @@ mod tests {
         m.record(s, SimTime::from_ns(20), 0.7);
         let samples = m.samples(s);
         assert_eq!(samples.len(), 3);
-        assert_eq!(samples[2].at, SimTime::from_ns(20));
+        assert_eq!(samples.iter().nth(2).unwrap().at, SimTime::from_ns(20));
         assert_eq!(m.series_by_name("link.util").unwrap().len(), 3);
+    }
+
+    /// Property: the change-point store replays exactly what was recorded
+    /// (instants and value bits), whatever mix of repeats, step changes,
+    /// equal instants, signed zeros and NaN payloads it is fed.
+    #[test]
+    fn change_point_runs_replay_every_sample_exactly() {
+        let values = [
+            0.0,
+            -0.0,
+            1.5,
+            f64::from_bits(0x7ff8_0000_0000_0001),
+            f64::from_bits(0x7ff8_0000_0000_0002),
+            f64::NAN,
+        ];
+        let mut rng = crate::SimRng::new(11);
+        for _ in 0..200 {
+            let mut m = MetricsRegistry::new();
+            let id = m.series("s");
+            let mut want: Vec<(SimTime, u64)> = Vec::new();
+            let mut at = rng.range(1_000);
+            let mut step = rng.range(4);
+            let mut value = *rng.pick(&values);
+            for _ in 0..rng.range(60) {
+                // Mostly repeat the value and keep the step, so runs form,
+                // but break either one often enough to split them.
+                if rng.chance(0.3) {
+                    value = *rng.pick(&values);
+                }
+                if rng.chance(0.2) {
+                    step = rng.range(4);
+                }
+                at += step;
+                m.record(id, SimTime::from_ps(at), value);
+                want.push((SimTime::from_ps(at), value.to_bits()));
+            }
+            let view = m.samples(id);
+            let got: Vec<(SimTime, u64)> = view.iter().map(|s| (s.at, s.value.to_bits())).collect();
+            assert_eq!(got, want);
+            assert_eq!(view.len(), want.len());
+            assert_eq!(view.is_empty(), want.is_empty());
+            assert_eq!(
+                view.last().map(|s| (s.at, s.value.to_bits())),
+                want.last().copied()
+            );
+            let by_value: Vec<(SimTime, u64)> = view
+                .into_iter()
+                .map(|s| (s.at, s.value.to_bits()))
+                .collect();
+            assert_eq!(by_value, want);
+        }
+    }
+
+    #[test]
+    fn repeated_values_at_a_fixed_interval_share_one_run() {
+        let mut m = MetricsRegistry::new();
+        let s = m.series("depth");
+        for t in 1..=1000 {
+            m.record(s, SimTime::from_us(t), 0.0);
+        }
+        m.record(s, SimTime::from_us(1001), 1.0);
+        assert_eq!(m.series[s.0].runs.len(), 2);
+        assert_eq!(m.samples(s).len(), 1001);
     }
 
     #[test]
