@@ -231,22 +231,15 @@ impl<M: 'static> Default for Engine<M> {
 }
 
 impl<M: 'static> Engine<M> {
-    /// Creates an empty engine at time zero, using the default calendar
-    /// event queue (see [`QueueKind`]).
+    /// Creates an empty engine at time zero, using the calendar event
+    /// queue (see [`QueueKind`]). It delivers in the same `(at, seq)`
+    /// order as the heap and degrades itself to the heap if the event-time
+    /// distribution defeats its bucket geometry.
     pub fn new() -> Self {
-        Self::with_queue(QueueKind::Calendar)
-    }
-
-    /// Creates an empty engine with an explicit pending-event queue
-    /// implementation. Both kinds deliver in identical `(at, seq)` order;
-    /// they differ only in cost model. `Calendar` additionally degrades
-    /// itself to the heap if the event-time distribution defeats its
-    /// bucket geometry.
-    pub fn with_queue(kind: QueueKind) -> Self {
         Engine {
             components: Vec::new(),
             names: Vec::new(),
-            queue: EventQueue::new(kind),
+            queue: EventQueue::new(QueueKind::Calendar),
             now: SimTime::ZERO,
             seq: 0,
             halt: false,

@@ -127,117 +127,10 @@ impl fmt::Display for Summary {
     }
 }
 
-/// A fixed-bucket linear histogram over `[0, bucket_width * buckets)` with an
-/// overflow bucket; used to report latency distributions and the
-/// outstanding-write distribution for the counter-CAM experiment.
-///
-/// # Example
-///
-/// ```
-/// use tg_sim::Histogram;
-/// let mut h = Histogram::new(1.0, 4);
-/// for x in [0.5, 1.5, 1.7, 9.0] {
-///     h.add(x);
-/// }
-/// assert_eq!(h.bucket_count(0), 1);
-/// assert_eq!(h.bucket_count(1), 2);
-/// assert_eq!(h.overflow(), 1);
-/// assert_eq!(h.total(), 4);
-/// ```
-#[derive(Clone, Debug, PartialEq)]
-pub struct Histogram {
-    width: f64,
-    counts: Vec<u64>,
-    overflow: u64,
-    total: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram of `buckets` bins, each `width` wide.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` is not positive or `buckets` is zero.
-    pub fn new(width: f64, buckets: usize) -> Self {
-        assert!(width > 0.0, "bucket width must be positive");
-        assert!(buckets > 0, "need at least one bucket");
-        Histogram {
-            width,
-            counts: vec![0; buckets],
-            overflow: 0,
-            total: 0,
-        }
-    }
-
-    /// Adds one sample (negative samples count into bucket 0).
-    pub fn add(&mut self, x: f64) {
-        self.total += 1;
-        let idx = (x.max(0.0) / self.width) as usize;
-        if idx < self.counts.len() {
-            self.counts[idx] += 1;
-        } else {
-            self.overflow += 1;
-        }
-    }
-
-    /// Count in bucket `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn bucket_count(&self, i: usize) -> u64 {
-        self.counts[i]
-    }
-
-    /// Number of regular buckets.
-    pub fn buckets(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Samples beyond the last bucket.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total samples recorded.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Smallest `x` such that at least `q` (0..=1) of the samples fall at or
-    /// below the *upper edge* of `x`'s bucket. Returns the overflow edge if
-    /// the quantile lands there.
-    pub fn quantile(&self, q: f64) -> f64 {
-        let target = (q.clamp(0.0, 1.0) * self.total as f64).ceil() as u64;
-        if target == 0 {
-            // Empty histogram or q = 0: no sample lies at or below any edge,
-            // so don't let `seen >= target` fire on a leading empty bucket.
-            return 0.0;
-        }
-        let mut seen = 0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if c > 0 && seen >= target {
-                return (i as f64 + 1.0) * self.width;
-            }
-        }
-        self.counts.len() as f64 * self.width
-    }
-
-    /// Fraction of samples in bucket `i`.
-    pub fn fraction(&self, i: usize) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.counts[i] as f64 / self.total as f64
-        }
-    }
-}
-
 /// An HDR-style log-bucketed histogram over `u64` values with bounded
 /// relative error, for tail-latency percentiles (p50/p99/p999) over wide
 /// dynamic ranges — picosecond latencies span six orders of magnitude in
-/// one run, which a linear [`Histogram`] cannot cover without either
+/// one run, which a fixed-width linear histogram cannot cover without either
 /// losing the tail or burning memory.
 ///
 /// Values up to `2^sub_bits` are recorded exactly; beyond that, each
@@ -489,74 +382,6 @@ mod tests {
         c.merge(&a);
         assert_eq!(c.count(), 1);
         assert_eq!(c.mean(), 3.0);
-    }
-
-    #[test]
-    fn histogram_buckets_and_overflow() {
-        let mut h = Histogram::new(2.0, 3);
-        for x in [0.0, 1.9, 2.0, 5.9, 6.0, 100.0] {
-            h.add(x);
-        }
-        assert_eq!(h.bucket_count(0), 2);
-        assert_eq!(h.bucket_count(1), 1);
-        assert_eq!(h.bucket_count(2), 1);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.total(), 6);
-        assert!((h.fraction(0) - 2.0 / 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_quantile() {
-        let mut h = Histogram::new(1.0, 10);
-        for i in 0..100 {
-            h.add(i as f64 / 10.0); // uniform over [0, 10)
-        }
-        assert_eq!(h.quantile(0.05), 1.0);
-        assert_eq!(h.quantile(0.5), 5.0);
-        assert_eq!(h.quantile(1.0), 10.0);
-    }
-
-    /// Regression tests for the quantile edge cases: an empty histogram and
-    /// `q = 0` must report 0.0 instead of the first bucket's upper edge, and
-    /// leading empty buckets must never satisfy the target.
-    #[test]
-    fn histogram_quantile_empty_and_zero() {
-        let empty = Histogram::new(2.0, 4);
-        assert_eq!(empty.quantile(0.0), 0.0);
-        assert_eq!(empty.quantile(0.5), 0.0);
-        assert_eq!(empty.quantile(1.0), 0.0);
-
-        let mut h = Histogram::new(2.0, 4);
-        h.add(5.0); // bucket 2; buckets 0 and 1 stay empty
-        assert_eq!(h.quantile(0.0), 0.0);
-        assert_eq!(h.quantile(0.5), 6.0, "must skip the leading empty buckets");
-        assert_eq!(h.quantile(1.0), 6.0);
-    }
-
-    #[test]
-    fn histogram_quantile_lands_in_overflow() {
-        let mut h = Histogram::new(1.0, 4);
-        h.add(0.5);
-        h.add(100.0);
-        h.add(200.0);
-        // 1/3 of the mass is in bucket 0; the rest only exists past the
-        // last edge, so upper quantiles report the overflow edge.
-        assert_eq!(h.quantile(0.3), 1.0);
-        assert_eq!(h.quantile(0.9), 4.0);
-        assert_eq!(h.quantile(1.0), 4.0);
-    }
-
-    #[test]
-    fn histogram_negative_clamped() {
-        let mut h = Histogram::new(1.0, 2);
-        h.add(-3.0);
-        assert_eq!(h.bucket_count(0), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn histogram_rejects_zero_width() {
-        let _ = Histogram::new(0.0, 4);
     }
 
     #[test]

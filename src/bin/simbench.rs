@@ -35,8 +35,10 @@
 //! JSON) so it runs in offline/vendored environments. Each workload is run
 //! a few times and the best wall time is reported.
 
+use std::process::ExitCode;
 use std::time::Instant;
 
+use telegraphos_suite::cli;
 use telegraphos_suite::harness::{self, HarnessOptions};
 use tg_analyze::{Json, SCHEMA};
 use tg_net::testing::{kick, SourceSink};
@@ -283,7 +285,7 @@ fn json_escape_free(name: &str) -> &str {
     name
 }
 
-fn main() {
+fn main() -> ExitCode {
     let measurements = [
         measure("ping_pong", 5, ping_pong),
         measure("ping_pong_hooked", 5, ping_pong_hooked),
@@ -316,7 +318,9 @@ fn main() {
         ));
     }
     json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_engine.json", &json).expect("write BENCH_engine.json");
+    if let Err(e) = std::fs::write("BENCH_engine.json", &json) {
+        return cli::fail("simbench", format!("write BENCH_engine.json: {e}"));
+    }
 
     // The analysis-cost datapoint: tracing + sampling ON vs OFF on the
     // same stencil. The OFF number's stability across commits (gated in
@@ -360,7 +364,9 @@ fn main() {
     }
     report.set("metrics", deterministic);
     report.set("throughput", throughput);
-    std::fs::write("report_bench.json", report.to_string_pretty())
-        .expect("write report_bench.json");
+    if let Err(e) = std::fs::write("report_bench.json", report.to_string_pretty()) {
+        return cli::fail("simbench", format!("write report_bench.json: {e}"));
+    }
     println!("wrote BENCH_engine.json and report_bench.json");
+    ExitCode::SUCCESS
 }

@@ -38,6 +38,7 @@ use telegraphos::{
     Action, Cluster, ClusterBuilder, DetectParams, FaultPlan, LinkId, RelParams, RetxMode, Script,
     SharedPage, Topology,
 };
+use telegraphos_suite::cli::{self, Args};
 use telegraphos_suite::harness::{self, HarnessOptions};
 use tg_analyze::{Json, SCHEMA};
 use tg_sim::{LogHistogram, RunLimit, SimTime};
@@ -344,28 +345,16 @@ fn main() -> ExitCode {
     let mut n_seeds: u64 = 3;
     let mut sweep_seeds: u64 = 10;
     let mut report_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
+    let mut args = Args::from_env();
     while let Some(a) = args.next() {
-        match a.as_str() {
-            "--seeds" => {
-                n_seeds = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seeds takes a number");
-            }
-            "--sweep-seeds" => {
-                sweep_seeds = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--sweep-seeds takes a number");
-            }
-            "--report" => {
-                report_path = Some(args.next().expect("--report takes a file path"));
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                return ExitCode::FAILURE;
-            }
+        let parsed = match a.as_str() {
+            "--seeds" => args.value("--seeds").map(|v| n_seeds = v),
+            "--sweep-seeds" => args.value("--sweep-seeds").map(|v| sweep_seeds = v),
+            "--report" => args.value("--report").map(|v| report_path = Some(v)),
+            other => Err(format!("unknown argument {other}")),
+        };
+        if let Err(e) = parsed {
+            return cli::fail("simfault", e);
         }
     }
 
@@ -721,7 +710,9 @@ fn main() -> ExitCode {
         report.set("seeds", Json::Num(n_seeds as f64));
         report.set("sweep_seeds", Json::Num(sweep_seeds as f64));
         report.set("metrics", metrics);
-        std::fs::write(&path, report.to_string_pretty()).expect("write report");
+        if let Err(e) = std::fs::write(&path, report.to_string_pretty()) {
+            return cli::fail("simfault", format!("write {path}: {e}"));
+        }
         println!();
         println!("wrote {path}");
     }

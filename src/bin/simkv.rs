@@ -34,6 +34,7 @@
 use std::process::ExitCode;
 
 use telegraphos::RetxMode;
+use telegraphos_suite::cli::{self, Args};
 use telegraphos_suite::harness::{self, HarnessOptions};
 use tg_analyze::{Json, SCHEMA};
 use tg_kv::{audit, drive, AuditReport, KvConfig};
@@ -114,32 +115,27 @@ fn run_once(scenario: &str, mode: RetxMode, seed: u64, requests: u32) -> KvRun {
 }
 
 fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
     let mut n_seeds: u64 = 3;
     let mut requests: u32 = 16;
     let mut report_path: Option<String> = None;
+    let mut args = Args::from_env();
     while let Some(a) = args.next() {
-        match a.as_str() {
-            "--seeds" => {
-                n_seeds = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seeds takes a count");
-            }
-            "--requests" => {
-                requests = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--requests takes a count");
-            }
-            "--report" => {
-                report_path = Some(args.next().expect("--report takes a file path"));
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                return ExitCode::FAILURE;
-            }
+        let parsed = match a.as_str() {
+            "--seeds" => args.value("--seeds").map(|v| n_seeds = v),
+            "--requests" => args.value("--requests").map(|v| requests = v),
+            "--report" => args.value("--report").map(|v| report_path = Some(v)),
+            other => Err(format!("unknown argument {other}")),
+        };
+        if let Err(e) = parsed {
+            return cli::fail("simkv", e);
         }
+    }
+    let cfg = KvConfig {
+        requests_per_client: requests,
+        ..KvConfig::default()
+    };
+    if let Err(e) = cfg.validate() {
+        return cli::fail("simkv", format!("bad --requests {requests}: {e}"));
     }
 
     let mut metrics = Json::obj();
@@ -255,7 +251,9 @@ fn main() -> ExitCode {
         report.set("seeds", Json::Num(n_seeds as f64));
         report.set("requests_per_client", Json::Num(f64::from(requests)));
         report.set("metrics", metrics);
-        std::fs::write(&path, report.to_string_pretty()).expect("write report");
+        if let Err(e) = std::fs::write(&path, report.to_string_pretty()) {
+            return cli::fail("simkv", format!("write {path}: {e}"));
+        }
         println!();
         println!("wrote {path}");
     }

@@ -24,10 +24,12 @@
 //!   matching metrics), so CI can prove the gate actually fires.
 
 use std::collections::HashMap;
+use std::num::NonZeroU64;
 use std::process::ExitCode;
 
 use telegraphos::observe::{chrome_events, chrome_trace_json, counter_track_events};
 use telegraphos::Cluster;
+use telegraphos_suite::cli::{self, Args};
 use telegraphos_suite::harness::{self, HarnessOptions, StencilCheck};
 use tg_analyze::{
     attribute_ops, exemplar_at, gate_reports, hottest_links, link_usage, scale_matching, Json,
@@ -37,75 +39,48 @@ use tg_sim::{LogHistogram, MetricsRegistry, SimTime};
 
 struct RunOptions {
     workload: String,
-    nodes: u16,
-    interval_us: u64,
+    interval_us: NonZeroU64,
     out: String,
     perfetto: Option<String>,
     top: usize,
-    reliable: bool,
-    drop: f64,
-    corrupt: f64,
-    fault_seed: u64,
     quiet: bool,
+    harness: HarnessOptions,
 }
 
-fn parse_run(args: &mut std::env::Args) -> Result<RunOptions, String> {
+fn parse_run(args: &mut Args) -> Result<RunOptions, String> {
     let mut opts = RunOptions {
         workload: "stencil16".to_string(),
-        nodes: 0, // 0 = workload default
-        interval_us: 1,
+        interval_us: NonZeroU64::MIN,
         out: "report.json".to_string(),
         perfetto: None,
         top: 5,
-        reliable: false,
-        drop: 0.0,
-        corrupt: 0.0,
-        fault_seed: 0xFA_0001,
         quiet: false,
+        harness: HarnessOptions {
+            nodes: 0, // 0 = workload default
+            ..HarnessOptions::default()
+        },
     };
+    let h = &mut opts.harness;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "stencil16" | "pingpong" => opts.workload = arg,
-            "--nodes" => {
-                let v = args.next().ok_or("--nodes needs a value")?;
-                opts.nodes = v.parse().map_err(|_| format!("bad --nodes {v}"))?;
-            }
-            "--interval-us" => {
-                let v = args.next().ok_or("--interval-us needs a value")?;
-                opts.interval_us = v.parse().map_err(|_| format!("bad --interval-us {v}"))?;
-            }
-            "--out" => opts.out = args.next().ok_or("--out needs a value")?,
-            "--perfetto" => opts.perfetto = Some(args.next().ok_or("--perfetto needs a value")?),
-            "--top" => {
-                let v = args.next().ok_or("--top needs a value")?;
-                opts.top = v.parse().map_err(|_| format!("bad --top {v}"))?;
-            }
-            "--reliable" => opts.reliable = true,
-            "--drop" => {
-                let v = args.next().ok_or("--drop needs a value")?;
-                opts.drop = v.parse().map_err(|_| format!("bad --drop {v}"))?;
-            }
-            "--corrupt" => {
-                let v = args.next().ok_or("--corrupt needs a value")?;
-                opts.corrupt = v.parse().map_err(|_| format!("bad --corrupt {v}"))?;
-            }
-            "--fault-seed" => {
-                let v = args.next().ok_or("--fault-seed needs a value")?;
-                opts.fault_seed = v.parse().map_err(|_| format!("bad --fault-seed {v}"))?;
-            }
+            "--nodes" => h.nodes = args.value("--nodes")?,
+            "--interval-us" => opts.interval_us = args.value("--interval-us")?,
+            "--out" => opts.out = args.value("--out")?,
+            "--perfetto" => opts.perfetto = Some(args.value("--perfetto")?),
+            "--top" => opts.top = args.value("--top")?,
+            "--reliable" => h.reliable = true,
+            "--drop" => h.drop = args.value("--drop")?,
+            "--corrupt" => h.corrupt = args.value("--corrupt")?,
+            "--fault-seed" => h.fault_seed = args.value("--fault-seed")?,
             "--quiet" => opts.quiet = true,
             other => return Err(format!("unknown run argument {other}")),
         }
     }
-    if opts.drop > 0.0 || opts.corrupt > 0.0 {
-        opts.reliable = true;
+    if h.nodes == 0 {
+        h.nodes = if opts.workload == "stencil16" { 16 } else { 4 };
     }
-    if opts.nodes == 0 {
-        opts.nodes = if opts.workload == "stencil16" { 16 } else { 4 };
-    }
-    if opts.nodes < 2 {
-        return Err("need at least 2 nodes".to_string());
-    }
+    h.validate()?;
     Ok(opts)
 }
 
@@ -201,27 +176,20 @@ fn print_exemplar(tag: &str, kind: &str, a: &OpAttribution) {
     println!("    {:<32} {:>9.3} us ({exact})", "sum", sum.as_us_f64());
 }
 
-fn cmd_run(args: &mut std::env::Args) -> Result<ExitCode, String> {
+fn cmd_run(args: &mut Args) -> Result<ExitCode, String> {
     let opts = parse_run(args)?;
-    let hopts = HarnessOptions {
-        nodes: opts.nodes,
-        reliable: opts.reliable,
-        drop: opts.drop,
-        corrupt: opts.corrupt,
-        fault_seed: opts.fault_seed,
-        ..HarnessOptions::default()
-    };
+    let hopts = &opts.harness;
     let (mut cluster, stencil_check): (Cluster, Option<StencilCheck>) = match opts.workload.as_str()
     {
-        "pingpong" => (harness::build_pingpong(&hopts), None),
+        "pingpong" => (harness::build_pingpong(hopts), None),
         _ => {
-            let (c, check) = harness::build_stencil(&hopts, 8, 12);
+            let (c, check) = harness::build_stencil(hopts, 8, 12);
             (c, Some(check))
         }
     };
     let collector = cluster.enable_tracing();
     let mut metrics = MetricsRegistry::new();
-    cluster.run_sampled(SimTime::from_us(opts.interval_us), &mut metrics);
+    cluster.run_sampled(SimTime::from_us(opts.interval_us.get()), &mut metrics);
     if !cluster.all_halted() {
         return Err("workload deadlocked".to_string());
     }
@@ -251,7 +219,7 @@ fn cmd_run(args: &mut std::env::Args) -> Result<ExitCode, String> {
     let mut report = Json::obj();
     report.set("schema", Json::Str(SCHEMA.to_string()));
     report.set("name", Json::Str(opts.workload.clone()));
-    report.set("nodes", Json::Num(f64::from(opts.nodes)));
+    report.set("nodes", Json::Num(f64::from(hopts.nodes)));
     report.set("sim_time_us", Json::Num(cluster.now().as_us_f64()));
 
     let mut latency = Json::obj();
@@ -318,7 +286,7 @@ fn cmd_run(args: &mut std::env::Args) -> Result<ExitCode, String> {
         println!(
             "{}: {} nodes, {} traced ops, {} packet events, sim time {:.1} us -> {}",
             opts.workload,
-            opts.nodes,
+            hopts.nodes,
             kinds.iter().map(|k| k.hist.count()).sum::<u64>(),
             packets.len(),
             cluster.now().as_us_f64(),
@@ -364,25 +332,22 @@ fn cmd_run(args: &mut std::env::Args) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_gate(args: &mut std::env::Args) -> Result<ExitCode, String> {
-    let mut baseline = None;
-    let mut current = None;
+fn cmd_gate(args: &mut Args) -> Result<ExitCode, String> {
+    let mut baseline: Option<String> = None;
+    let mut current: Option<String> = None;
     let mut tol = Tolerances::exact();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--baseline" => baseline = Some(args.next().ok_or("--baseline needs a value")?),
-            "--current" => current = Some(args.next().ok_or("--current needs a value")?),
-            "--default-tol" => {
-                let v = args.next().ok_or("--default-tol needs a value")?;
-                tol.default_rel = v.parse().map_err(|_| format!("bad --default-tol {v}"))?;
-            }
+            "--baseline" => baseline = Some(args.value("--baseline")?),
+            "--current" => current = Some(args.value("--current")?),
+            "--default-tol" => tol.default_rel = args.value("--default-tol")?,
             "--tol" => {
-                let v = args.next().ok_or("--tol needs PATTERN=REL")?;
+                let v: String = args.value("--tol")?;
                 let (pat, rel) = v.split_once('=').ok_or(format!("bad --tol {v}"))?;
                 let rel: f64 = rel.parse().map_err(|_| format!("bad --tol {v}"))?;
                 tol.per_metric.push((pat.to_string(), rel));
             }
-            "--skip" => tol.skip.push(args.next().ok_or("--skip needs a value")?),
+            "--skip" => tol.skip.push(args.value("--skip")?),
             other => return Err(format!("unknown gate argument {other}")),
         }
     }
@@ -426,20 +391,17 @@ fn cmd_gate(args: &mut std::env::Args) -> Result<ExitCode, String> {
     }
 }
 
-fn cmd_degrade(args: &mut std::env::Args) -> Result<ExitCode, String> {
-    let mut input = None;
-    let mut output = None;
-    let mut metric = None;
+fn cmd_degrade(args: &mut Args) -> Result<ExitCode, String> {
+    let mut input: Option<String> = None;
+    let mut output: Option<String> = None;
+    let mut metric: Option<String> = None;
     let mut factor = 0.9f64;
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--in" => input = Some(args.next().ok_or("--in needs a value")?),
-            "--out" => output = Some(args.next().ok_or("--out needs a value")?),
-            "--metric" => metric = Some(args.next().ok_or("--metric needs a value")?),
-            "--factor" => {
-                let v = args.next().ok_or("--factor needs a value")?;
-                factor = v.parse().map_err(|_| format!("bad --factor {v}"))?;
-            }
+            "--in" => input = Some(args.value("--in")?),
+            "--out" => output = Some(args.value("--out")?),
+            "--metric" => metric = Some(args.value("--metric")?),
+            "--factor" => factor = args.value("--factor")?,
             other => return Err(format!("unknown degrade argument {other}")),
         }
     }
@@ -458,8 +420,7 @@ fn cmd_degrade(args: &mut std::env::Args) -> Result<ExitCode, String> {
 }
 
 fn main() -> ExitCode {
-    let mut args = std::env::args();
-    let _argv0 = args.next();
+    let mut args = Args::from_env();
     let cmd = args.next().unwrap_or_else(|| "run".to_string());
     let result = match cmd.as_str() {
         "run" => cmd_run(&mut args),
@@ -469,11 +430,5 @@ fn main() -> ExitCode {
             "unknown subcommand {other} (expected run, gate or degrade)"
         )),
     };
-    match result {
-        Ok(code) => code,
-        Err(e) => {
-            eprintln!("simreport: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    result.unwrap_or_else(|e| cli::fail("simreport", e))
 }

@@ -54,184 +54,75 @@
 //! offline/vendored environments.
 
 use std::collections::HashMap;
+use std::num::NonZeroU64;
 use std::process::ExitCode;
 
 use telegraphos::observe::{
     breakdown_report, chrome_events, chrome_trace_json, json_is_wellformed, ChromeEvent,
 };
 use telegraphos::{Cluster, CrashWindow, RetxMode, TraceCollector};
+use telegraphos_suite::cli::{self, Args};
 use telegraphos_suite::harness::{self, HarnessOptions, StencilCheck};
 use tg_sim::{MetricsRegistry, SimTime};
 use tg_wire::trace::{OpKind, PacketEvent, Site, Stage};
 
 struct Options {
     workload: String,
-    nodes: u16,
     out: String,
     metrics: bool,
-    interval_us: u64,
+    interval_us: NonZeroU64,
     check: bool,
     quiet: bool,
-    reliable: bool,
-    sack: bool,
-    drop: f64,
-    corrupt: f64,
-    ctrl_drop: f64,
-    ctrl_corrupt: f64,
-    fault_seed: u64,
-    heartbeats: bool,
-    crash: Option<(u16, u64)>,
-    restart_us: Option<u64>,
-    switch_out: Option<(u16, u64, u64)>,
+    harness: HarnessOptions,
 }
 
-fn parse_args() -> Result<Options, String> {
+fn parse_args(mut args: Args) -> Result<Options, String> {
     let mut opts = Options {
         workload: "pingpong".to_string(),
-        nodes: 4,
         out: "trace.json".to_string(),
         metrics: false,
-        interval_us: 1,
+        interval_us: NonZeroU64::MIN,
         check: false,
         quiet: false,
-        reliable: false,
-        sack: false,
-        drop: 0.0,
-        corrupt: 0.0,
-        ctrl_drop: 0.0,
-        ctrl_corrupt: 0.0,
-        fault_seed: 0xFA_0001,
-        heartbeats: false,
-        crash: None,
-        restart_us: None,
-        switch_out: None,
+        harness: HarnessOptions::default(),
     };
-    let mut args = std::env::args().skip(1);
+    let h = &mut opts.harness;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "pingpong" | "stencil" => opts.workload = arg,
-            "--nodes" => {
-                let v = args.next().ok_or("--nodes needs a value")?;
-                opts.nodes = v.parse().map_err(|_| format!("bad --nodes {v}"))?;
-            }
-            "--out" => opts.out = args.next().ok_or("--out needs a value")?,
-            "--interval-us" => {
-                let v = args.next().ok_or("--interval-us needs a value")?;
-                opts.interval_us = v.parse().map_err(|_| format!("bad --interval-us {v}"))?;
-            }
+            "--nodes" => h.nodes = args.value("--nodes")?,
+            "--out" => opts.out = args.value("--out")?,
+            "--interval-us" => opts.interval_us = args.value("--interval-us")?,
             "--metrics" => opts.metrics = true,
             "--check" => opts.check = true,
             "--quiet" => opts.quiet = true,
-            "--reliable" => opts.reliable = true,
-            "--sack" => opts.sack = true,
-            "--drop" => {
-                let v = args.next().ok_or("--drop needs a value")?;
-                opts.drop = v.parse().map_err(|_| format!("bad --drop {v}"))?;
-            }
-            "--corrupt" => {
-                let v = args.next().ok_or("--corrupt needs a value")?;
-                opts.corrupt = v.parse().map_err(|_| format!("bad --corrupt {v}"))?;
-            }
-            "--ctrl-drop" => {
-                let v = args.next().ok_or("--ctrl-drop needs a value")?;
-                opts.ctrl_drop = v.parse().map_err(|_| format!("bad --ctrl-drop {v}"))?;
-            }
-            "--ctrl-corrupt" => {
-                let v = args.next().ok_or("--ctrl-corrupt needs a value")?;
-                opts.ctrl_corrupt = v.parse().map_err(|_| format!("bad --ctrl-corrupt {v}"))?;
-            }
-            "--fault-seed" => {
-                let v = args.next().ok_or("--fault-seed needs a value")?;
-                opts.fault_seed = v.parse().map_err(|_| format!("bad --fault-seed {v}"))?;
-            }
-            "--heartbeats" => opts.heartbeats = true,
+            "--reliable" => h.reliable = true,
+            "--sack" => h.mode = RetxMode::Sack,
+            "--drop" => h.drop = args.value("--drop")?,
+            "--corrupt" => h.corrupt = args.value("--corrupt")?,
+            "--ctrl-drop" => h.ctrl_drop = args.value("--ctrl-drop")?,
+            "--ctrl-corrupt" => h.ctrl_corrupt = args.value("--ctrl-corrupt")?,
+            "--fault-seed" => h.fault_seed = args.value("--fault-seed")?,
+            "--heartbeats" => h.heartbeats = true,
             "--crash" => {
-                let v = args.next().ok_or("--crash needs NODE,AT_US")?;
-                let parts: Vec<_> = v.split(',').collect();
-                let parsed = (parts.len() == 2)
-                    .then(|| Some((parts[0].parse().ok()?, parts[1].parse().ok()?)))
-                    .flatten();
-                opts.crash = Some(parsed.ok_or(format!("bad --crash {v} (want NODE,AT_US)"))?);
+                let mut f = args.tuple("--crash", "NODE,AT_US")?;
+                h.crash = Some((f.field()?, f.field()?));
             }
-            "--restart" => {
-                let v = args.next().ok_or("--restart needs AT_US")?;
-                opts.restart_us = Some(v.parse().map_err(|_| format!("bad --restart {v}"))?);
-            }
+            "--restart" => h.restart_us = Some(args.value("--restart")?),
             "--switch-out" => {
-                let v = args
-                    .next()
-                    .ok_or("--switch-out needs SWITCH,FROM_US,UNTIL_US")?;
-                let parts: Vec<_> = v.split(',').collect();
-                let parsed = (parts.len() == 3)
-                    .then(|| {
-                        Some((
-                            parts[0].parse().ok()?,
-                            parts[1].parse().ok()?,
-                            parts[2].parse().ok()?,
-                        ))
-                    })
-                    .flatten();
-                opts.switch_out = Some(parsed.ok_or(format!(
-                    "bad --switch-out {v} (want SWITCH,FROM_US,UNTIL_US)"
-                ))?);
+                let mut f = args.tuple("--switch-out", "SWITCH,FROM_US,UNTIL_US")?;
+                h.switch_out = Some((f.field()?, f.field()?, f.field()?));
             }
             other => return Err(format!("unknown argument {other}")),
         }
     }
-    if opts.nodes < 2 {
-        return Err("need at least 2 nodes".to_string());
-    }
-    for p in [opts.drop, opts.corrupt, opts.ctrl_drop, opts.ctrl_corrupt] {
-        if !(0.0..=1.0).contains(&p) {
-            return Err("fault probabilities must be within [0, 1]".to_string());
-        }
-    }
-    // Injected faults without link-level recovery would wedge the workload.
-    if opts.drop > 0.0 || opts.corrupt > 0.0 || opts.ctrl_drop > 0.0 || opts.ctrl_corrupt > 0.0 {
-        opts.reliable = true;
-    }
-    // Crash-stop windows need the reliability layer (detection and
-    // structured op failure both live there) and a stepped run that
-    // periodic metrics sampling does not support.
-    if opts.crash.is_some() || opts.switch_out.is_some() {
-        opts.reliable = true;
-        opts.heartbeats = true;
-        if opts.metrics {
-            return Err("--metrics cannot be combined with --crash/--switch-out".to_string());
-        }
-    }
-    if opts.restart_us.is_some() && opts.crash.is_none() {
-        return Err("--restart needs --crash".to_string());
-    }
-    if let Some((s, _, _)) = opts.switch_out {
-        if s >= opts.nodes {
-            return Err("--switch-out switch index out of range (ring has one per node)".into());
-        }
+    h.validate()?;
+    // Crash-stop windows need a stepped run that periodic metrics
+    // sampling does not support.
+    if h.any_crash() && opts.metrics {
+        return Err("--metrics cannot be combined with --crash/--switch-out".to_string());
     }
     Ok(opts)
-}
-
-impl Options {
-    fn harness(&self) -> HarnessOptions {
-        HarnessOptions {
-            nodes: self.nodes,
-            reliable: self.reliable,
-            drop: self.drop,
-            corrupt: self.corrupt,
-            ctrl_drop: self.ctrl_drop,
-            ctrl_corrupt: self.ctrl_corrupt,
-            mode: if self.sack {
-                RetxMode::Sack
-            } else {
-                RetxMode::GoBackN
-            },
-            fault_seed: self.fault_seed,
-            heartbeats: self.heartbeats,
-            crash: self.crash,
-            restart_us: self.restart_us,
-            switch_out: self.switch_out,
-        }
-    }
 }
 
 /// Verifies the export invariants; returns a list of violations.
@@ -471,44 +362,38 @@ fn check_peer_verdicts(
 }
 
 fn main() -> ExitCode {
-    let opts = match parse_args() {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("simtrace: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    parse_args(Args::from_env())
+        .and_then(run)
+        .unwrap_or_else(|e| cli::fail("simtrace", e))
+}
 
+fn run(opts: Options) -> Result<ExitCode, String> {
+    let hopts = &opts.harness;
     let (mut cluster, stencil_check): (Cluster, Option<StencilCheck>) = match opts.workload.as_str()
     {
-        "pingpong" => (harness::build_pingpong(&opts.harness()), None),
+        "pingpong" => (harness::build_pingpong(hopts), None),
         _ => {
-            let (c, check) = harness::build_stencil(&opts.harness(), 8, 4);
+            let (c, check) = harness::build_stencil(hopts, 8, 4);
             (c, Some(check))
         }
     };
     let collector = cluster.enable_tracing();
 
-    let hopts = opts.harness();
     let mut metrics = MetricsRegistry::new();
-    if opts.metrics {
-        cluster.run_sampled(SimTime::from_us(opts.interval_us), &mut metrics);
-        if !cluster.all_halted() {
-            eprintln!("simtrace: workload deadlocked");
-            return ExitCode::FAILURE;
-        }
-    } else if !harness::run_cluster(&mut cluster, &hopts) {
-        eprintln!("simtrace: workload deadlocked");
-        return ExitCode::FAILURE;
+    let completed = if opts.metrics {
+        cluster.run_sampled(SimTime::from_us(opts.interval_us.get()), &mut metrics);
+        cluster.all_halted()
+    } else {
+        harness::run_cluster(&mut cluster, hopts)
+    };
+    if !completed {
+        return Err("workload deadlocked".to_string());
     }
     // Under a crash-stop plan only the survivors' results are checkable,
     // so the stencil cross-check (which needs every strip) is skipped.
     if !hopts.any_crash() {
         if let Some(check) = &stencil_check {
-            if let Err(e) = harness::verify_stencil(&cluster, check) {
-                eprintln!("simtrace: {e}");
-                return ExitCode::FAILURE;
-            }
+            harness::verify_stencil(&cluster, check)?;
         }
     }
 
@@ -516,7 +401,7 @@ fn main() -> ExitCode {
     let packets = collector.packet_events();
     let events = chrome_events(&ops, &packets);
     let json = chrome_trace_json(&events);
-    std::fs::write(&opts.out, &json).expect("write trace file");
+    std::fs::write(&opts.out, &json).map_err(|e| format!("write {}: {e}", opts.out))?;
 
     if !opts.quiet {
         println!(
@@ -528,7 +413,7 @@ fn main() -> ExitCode {
             opts.out
         );
         print!("{}", breakdown_report(&collector.breakdowns()));
-        if opts.reliable {
+        if hopts.reliable {
             let fs = cluster.fault_stats();
             println!(
                 "recovery: {} retransmits ({} bytes), {} resyncs, {} frames lost, \
@@ -553,12 +438,12 @@ fn main() -> ExitCode {
             for p in &problems {
                 eprintln!("simtrace check: {p}");
             }
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         println!(
             "check: ok (json well-formed, tracks monotonic, breakdowns and \
              fault-recovery counters reconcile)"
         );
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

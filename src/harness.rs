@@ -89,6 +89,76 @@ impl HarnessOptions {
     pub fn any_crash(&self) -> bool {
         self.crash.is_some() || self.switch_out.is_some()
     }
+
+    /// Checks options read from a command line and applies their
+    /// implications: any fault turns on `reliable` (a lossy fabric
+    /// without recovery wedges the workload), and a crash window also
+    /// turns on `heartbeats` (only the detector convicts the dead and
+    /// fails blocked ops). Rejects what [`builder`] could not honour as
+    /// written: fewer than 2 nodes, a probability outside `[0, 1]`, a
+    /// crashed node or silenced switch outside the cluster (an outage
+    /// runs on a ring of one switch per node, so it needs 3 nodes), a
+    /// restart without a crash or before it, an empty outage window, or
+    /// a time past the end of the simulated clock.
+    pub fn validate(&mut self) -> Result<(), String> {
+        if self.nodes < 2 {
+            return Err("need at least 2 nodes".to_string());
+        }
+        for p in [self.drop, self.corrupt, self.ctrl_drop, self.ctrl_corrupt] {
+            if !(0.0..=1.0).contains(&p) {
+                return Err("fault probabilities must be within [0, 1]".to_string());
+            }
+        }
+        let max_us = SimTime::MAX.as_ps() / SimTime::from_us(1).as_ps();
+        let check_us = |flag: &str, us: u64| {
+            if us <= max_us {
+                Ok(())
+            } else {
+                Err(format!("{flag} time {us} us is past the simulated clock"))
+            }
+        };
+        if let Some((node, at_us)) = self.crash {
+            if node >= self.nodes {
+                return Err(format!(
+                    "--crash node {node} out of range ({} nodes)",
+                    self.nodes
+                ));
+            }
+            check_us("--crash", at_us)?;
+        }
+        if let Some(restart_us) = self.restart_us {
+            let (_, at_us) = self.crash.ok_or("--restart needs --crash")?;
+            if restart_us < at_us {
+                return Err(format!(
+                    "--restart {restart_us} precedes the crash at {at_us}"
+                ));
+            }
+            check_us("--restart", restart_us)?;
+        }
+        if let Some((s, from_us, until_us)) = self.switch_out {
+            if self.nodes < 3 {
+                return Err("--switch-out needs at least 3 nodes (it runs on a ring)".into());
+            }
+            if s >= self.nodes {
+                return Err(
+                    "--switch-out switch index out of range (ring has one per node)".into(),
+                );
+            }
+            if from_us >= until_us {
+                return Err(format!(
+                    "--switch-out window {from_us}..{until_us} is empty"
+                ));
+            }
+            check_us("--switch-out", until_us)?;
+        }
+        if self.any_faults() {
+            self.reliable = true;
+        }
+        if self.any_crash() {
+            self.heartbeats = true;
+        }
+        Ok(())
+    }
 }
 
 /// A cluster builder reflecting the reliability / fault options.
@@ -251,4 +321,108 @@ pub fn verify_stencil(cluster: &Cluster, check: &StencilCheck) -> Result<(), Str
         ));
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn opts(set: impl FnOnce(&mut HarnessOptions)) -> HarnessOptions {
+        let mut o = HarnessOptions::default();
+        set(&mut o);
+        o
+    }
+
+    /// The harness options of every `simtrace` and `simreport` command
+    /// line in CI, as their parsers build them.
+    #[test]
+    fn validate_accepts_every_ci_command_line() {
+        let cases = [
+            ("simtrace stencil --nodes 4", opts(|_| {})),
+            ("simtrace stencil --nodes 16", opts(|o| o.nodes = 16)),
+            ("simreport run stencil16", opts(|o| o.nodes = 16)),
+            ("simtrace pingpong --reliable", opts(|o| o.reliable = true)),
+            (
+                "simtrace stencil --drop 0.15 --corrupt 0.05",
+                opts(|o| (o.drop, o.corrupt) = (0.15, 0.05)),
+            ),
+            (
+                "simtrace stencil --sack --drop 0.10 --ctrl-drop 0.25 --ctrl-corrupt 0.10",
+                opts(|o| {
+                    o.mode = RetxMode::Sack;
+                    (o.drop, o.ctrl_drop, o.ctrl_corrupt) = (0.10, 0.25, 0.10);
+                }),
+            ),
+            (
+                "simtrace pingpong --crash 1,150",
+                opts(|o| o.crash = Some((1, 150))),
+            ),
+            (
+                "simtrace pingpong --sack --crash 1,150 --restart 2500",
+                opts(|o| {
+                    o.mode = RetxMode::Sack;
+                    o.crash = Some((1, 150));
+                    o.restart_us = Some(2500);
+                }),
+            ),
+            (
+                "simtrace pingpong --switch-out 1,100,100000",
+                opts(|o| o.switch_out = Some((1, 100, 100_000))),
+            ),
+        ];
+        for (line, mut o) in cases {
+            let explicit = o.reliable;
+            o.validate().unwrap_or_else(|e| panic!("{line}: {e}"));
+            assert_eq!(o.reliable, explicit || o.any_faults(), "{line}");
+            assert_eq!(o.heartbeats, o.any_crash(), "{line}");
+        }
+    }
+
+    #[test]
+    fn validate_rejects_what_the_builder_cannot_honour() {
+        let cases = [
+            (opts(|o| o.nodes = 1), "need at least 2 nodes"),
+            (opts(|o| o.drop = 1.5), "within [0, 1]"),
+            (opts(|o| o.corrupt = -0.1), "within [0, 1]"),
+            (opts(|o| o.ctrl_drop = f64::NAN), "within [0, 1]"),
+            (opts(|o| o.ctrl_corrupt = f64::INFINITY), "within [0, 1]"),
+            (
+                opts(|o| o.crash = Some((9, 100))),
+                "--crash node 9 out of range",
+            ),
+            (
+                opts(|o| o.crash = Some((1, u64::MAX))),
+                "past the simulated clock",
+            ),
+            (opts(|o| o.restart_us = Some(5)), "--restart needs --crash"),
+            (
+                opts(|o| (o.crash, o.restart_us) = (Some((1, 10)), Some(5))),
+                "--restart 5 precedes the crash at 10",
+            ),
+            (
+                opts(|o| (o.crash, o.restart_us) = (Some((1, 10)), Some(u64::MAX))),
+                "past the simulated clock",
+            ),
+            (
+                opts(|o| o.switch_out = Some((4, 100, 500))),
+                "switch index out of range",
+            ),
+            (
+                opts(|o| o.switch_out = Some((1, 500, 100))),
+                "window 500..100 is empty",
+            ),
+            (
+                opts(|o| o.switch_out = Some((1, 100, 100))),
+                "window 100..100 is empty",
+            ),
+            (
+                opts(|o| (o.nodes, o.switch_out) = (2, Some((1, 10, 20)))),
+                "at least 3 nodes",
+            ),
+        ];
+        for (mut o, want) in cases {
+            let err = o.validate().expect_err(want);
+            assert!(err.contains(want), "{err:?} should mention {want:?}");
+        }
+    }
 }

@@ -5,6 +5,7 @@
 //! (`examples/`); the actual functionality lives in the member crates and is
 //! re-exported here for convenience.
 
+pub mod cli;
 pub mod harness;
 
 pub use telegraphos as core;
