@@ -1,6 +1,6 @@
 //! Critical-path latency attribution.
 //!
-//! [`telegraphos::observe::op_chains`] merges every traced operation's
+//! [`telegraphos::observe::for_each_chain`] merges every traced operation's
 //! request and response packet events into one clamped, time-ordered
 //! chain whose consecutive gaps telescope exactly to the op's end-to-end
 //! latency. This module classifies each gap — *what* the operation was
@@ -15,7 +15,7 @@
 //! decomposition whose segments sum exactly to a measured latency, not to
 //! an average of incommensurable runs.
 
-use telegraphos::observe::{op_chains, ChainedEvent};
+use telegraphos::observe::{for_each_chain, ChainedEvent};
 use tg_sim::{LogHistogram, SimTime};
 use tg_wire::trace::{OpEvent, PacketEvent, Site, Stage};
 
@@ -166,61 +166,56 @@ fn wants_outgoing_link(class: SegClass) -> bool {
 /// Attributes every traced operation: classifies each critical-path
 /// segment and pins it to a site and directed link. Segment durations
 /// telescope exactly to each op's end-to-end latency (the invariant is
-/// inherited from [`op_chains`] — segments are the gaps between
+/// inherited from [`for_each_chain`] — segments are the gaps between
 /// consecutive clamped events, plus the issue/complete bookends).
 pub fn attribute_ops(ops: &[OpEvent], packets: &[PacketEvent]) -> Vec<OpAttribution> {
-    op_chains(ops, packets)
-        .into_iter()
-        .map(|chain| {
-            let op = chain.op;
-            let origin = Site::Node(op.node);
-            let events = &chain.events;
-            let mut segments = Vec::with_capacity(events.len() + 2);
-            let mut prev_at = op.start;
-            for (i, ev) in events.iter().enumerate() {
-                let (class, response) = match i.checked_sub(1).map(|j| &events[j]) {
-                    None => (SegClass::CpuIssue, ev.response),
-                    Some(prev) => (classify(prev, ev), ev.response),
-                };
-                let link = match class {
-                    SegClass::Wire => {
-                        let from = i
-                            .checked_sub(1)
-                            .map(|j| events[j].event.site)
-                            .unwrap_or(origin);
-                        Some((from, ev.event.site))
-                    }
-                    c if wants_outgoing_link(c) => {
-                        // The hop this queueing feeds: the next site the
-                        // packet reaches after leaving this one.
-                        let here = ev.event.site;
-                        events[i..]
-                            .iter()
-                            .map(|e| e.event.site)
-                            .find(|s| *s != here)
-                            .map(|next| (here, next))
-                    }
-                    _ => None,
-                };
-                segments.push(AttributedSegment {
-                    class,
-                    site: ev.event.site,
-                    link,
-                    dur: ev.at.saturating_sub(prev_at),
-                    response,
-                });
-                prev_at = ev.at;
-            }
+    let mut out = Vec::new();
+    // `next_site[i]`: the first site later on the chain that differs from
+    // `events[i]`'s — the hop that queueing at `events[i]` feeds. Reused
+    // from op to op.
+    let mut next_site: Vec<Option<Site>> = Vec::new();
+    for_each_chain(ops, packets, |op, events| {
+        let origin = Site::Node(op.node);
+        next_site.clear();
+        next_site.resize(events.len(), None);
+        for i in (1..events.len()).rev() {
+            let (here, next) = (events[i - 1].event.site, events[i].event.site);
+            next_site[i - 1] = if next != here {
+                Some(next)
+            } else {
+                next_site[i]
+            };
+        }
+        let mut segments = Vec::with_capacity(events.len() + 1);
+        let mut prev_at = op.start;
+        for (i, ev) in events.iter().enumerate() {
+            let prev = i.checked_sub(1).map(|j| &events[j]);
+            let class = prev.map_or(SegClass::CpuIssue, |prev| classify(prev, ev));
+            let here = ev.event.site;
+            let link = match class {
+                SegClass::Wire => Some((prev.map_or(origin, |p| p.event.site), here)),
+                c if wants_outgoing_link(c) => next_site[i].map(|next| (here, next)),
+                _ => None,
+            };
             segments.push(AttributedSegment {
-                class: SegClass::CpuComplete,
-                site: origin,
-                link: None,
-                dur: op.end.saturating_sub(prev_at),
-                response: false,
+                class,
+                site: here,
+                link,
+                dur: ev.at.saturating_sub(prev_at),
+                response: ev.response,
             });
-            OpAttribution { op, segments }
-        })
-        .collect()
+            prev_at = ev.at;
+        }
+        segments.push(AttributedSegment {
+            class: SegClass::CpuComplete,
+            site: origin,
+            link: None,
+            dur: op.end.saturating_sub(prev_at),
+            response: false,
+        });
+        out.push(OpAttribution { op: *op, segments });
+    });
+    out
 }
 
 /// End-to-end latencies of the given attributions as a log-bucketed
@@ -356,7 +351,9 @@ mod tests {
                 SegClass::CpuComplete,
             ]
         );
-        // The credit stall is pinned to the outgoing hop node0->switch0.
+        // The queue wait and the credit stall are pinned to the outgoing
+        // hop node0->switch0, also when the next event is still at node0.
+        assert_eq!(a.segments[1].link, Some((n0, s0)));
         assert_eq!(a.segments[2].link, Some((n0, s0)));
         assert_eq!(a.segments[3].link, Some((n0, s0)));
         assert_eq!(a.segments[5].link, Some((s0, n1)));

@@ -14,17 +14,20 @@
 //!   (Perfetto-loadable) export of the whole run, with
 //!   [`counter_track_events`] adding the congestion observatory's metric
 //!   time series as counter tracks;
-//! * [`op_chains`] — the merged request→response event chains the
-//!   breakdowns are built from, for analyzers needing site/stage context;
+//! * [`for_each_chain`] / [`op_chains`] — the merged request→response
+//!   event chains the breakdowns are built from, for analyzers needing
+//!   site/stage context;
 //! * [`breakdown_report`] — a human-readable aggregate table.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::hash::BuildHasherDefault;
 use std::rc::Rc;
 
 use tg_sim::{MetricsRegistry, SimTime};
 use tg_wire::trace::{OpEvent, PacketEvent, Probe, SharedProbe, Site, TraceId};
+use tg_wire::Fnv1a;
 
 /// Interior buffers shared between the collector handle and the probe
 /// installed at every component.
@@ -149,9 +152,8 @@ pub struct ChainedEvent {
 }
 
 /// The merged request → response event chain of one traced operation, in
-/// the exact order [`op_breakdowns`] consumes: stable-sorted by clamped
-/// time, so segment `i` of the breakdown spans `events[i-1].at ..
-/// events[i].at`.
+/// the exact order [`op_breakdowns`] consumes (see [`for_each_chain`]), so
+/// segment `i` of the breakdown spans `events[i-1].at .. events[i].at`.
 #[derive(Clone, Debug)]
 pub struct OpChain {
     /// The operation.
@@ -161,112 +163,190 @@ pub struct OpChain {
 }
 
 /// Computes the merged critical-path event chain of every operation that
-/// injected a traceable packet.
-///
-/// For each op the packet events of its request (same [`TraceId`]) and of
-/// any response chained to it (`parent` equal to the request id) are
-/// merged in time order and clamped to the op's `[start, end]` window.
-/// [`op_breakdowns`] turns these chains into telescoping segments;
-/// analyzers that need site/stage context (e.g. per-link attribution)
-/// consume the chains directly.
+/// injected a traceable packet: [`for_each_chain`]'s chains, collected.
 pub fn op_chains(ops: &[OpEvent], packets: &[PacketEvent]) -> Vec<OpChain> {
-    // Index packet events by the op they belong to (request id).
-    let mut by_req: HashMap<TraceId, Vec<&PacketEvent>> = HashMap::new();
-    for ev in packets {
-        by_req.entry(ev.trace).or_default().push(ev);
-        if let Some(parent) = ev.parent {
-            if parent != ev.trace {
-                by_req.entry(parent).or_default().push(ev);
-            }
-        }
-    }
-    // Chain responses: an event of trace R with parent Q files under Q
-    // above; later events of trace R (switch hops, rx, commit) must follow.
-    let mut resp_of: HashMap<TraceId, TraceId> = HashMap::new();
-    for ev in packets {
-        if let Some(parent) = ev.parent {
-            if parent != ev.trace {
-                resp_of.insert(ev.trace, parent);
-            }
-        }
-    }
-    for ev in packets {
-        if let Some(&req) = resp_of.get(&ev.trace) {
-            let entry = by_req.entry(req).or_default();
-            if !entry.iter().any(|e| std::ptr::eq(*e, ev)) {
-                entry.push(ev);
-            }
-        }
-    }
-
     let mut out = Vec::new();
-    for op in ops {
-        let Some(req) = op.trace else { continue };
-        let mut events: Vec<&PacketEvent> = by_req.get(&req).cloned().unwrap_or_default();
-        // Emission order is delivery order; a stable sort on the clamped
-        // time preserves causal order for same-instant events.
-        events.sort_by_key(|e| e.at.max(op.start).min(op.end));
-        let events = events
-            .into_iter()
-            .map(|ev| ChainedEvent {
-                event: *ev,
-                at: ev.at.max(op.start).min(op.end),
-                response: ev.trace != req,
-            })
-            .collect();
-        out.push(OpChain { op: *op, events });
-    }
+    for_each_chain(ops, packets, |op, events| {
+        out.push(OpChain {
+            op: *op,
+            events: events.to_vec(),
+        });
+    });
     out
+}
+
+/// A map keyed by trace id. The ids are packet names the simulator made,
+/// not outside input, so the word-folding FNV-1a hasher replaces SipHash.
+type TraceMap<V> = HashMap<TraceId, V, BuildHasherDefault<Fnv1a>>;
+
+/// The op slots one trace's events are filed under.
+#[derive(Clone, Copy, Default)]
+struct Filing {
+    /// The slot whose request this trace is.
+    own: Option<u32>,
+    /// The slot whose request is this trace's final (last-wins) parent.
+    resp: Option<u32>,
+}
+
+/// Marks a chain entry filed by the response pass (pass 1). Packet indices
+/// sit below it, so sorting `(clamped at, entry)` orders ties by pass and
+/// then by emission index.
+const RESP_PASS: u32 = 1 << 31;
+
+/// Walks the merged critical-path chain of every operation that injected a
+/// traceable packet, in `ops` order, handing `f` the op and its chain.
+///
+/// An op with request id `Q` collects every packet event with `trace ==
+/// Q`, or with `parent == Some(Q)` and `parent != trace` (pass 0), plus
+/// every event of a response trace `R` whose final parent is `Q`, when
+/// the event was not already filed under `Q` (pass 1). Its chain is those
+/// events clamped to the op's `[start, end]` window and ordered by
+/// `(clamped at, pass, emission index)`: emission order is delivery
+/// order, so same-instant events keep their causal order.
+///
+/// The events are indexed once, in O(events), by one counting sort into
+/// per-op slots; each op then sorts only its own events, in a buffer
+/// reused from one op to the next. [`op_breakdowns`] turns the chains into
+/// telescoping segments; analyzers that need site/stage context (e.g.
+/// per-link attribution) consume them directly.
+pub fn for_each_chain(
+    ops: &[OpEvent],
+    packets: &[PacketEvent],
+    mut f: impl FnMut(&OpEvent, &[ChainedEvent]),
+) {
+    walk_chains(ops, packets, &mut f);
+}
+
+/// The body of [`for_each_chain`], compiled once rather than per caller.
+fn walk_chains(
+    ops: &[OpEvent],
+    packets: &[PacketEvent],
+    f: &mut dyn FnMut(&OpEvent, &[ChainedEvent]),
+) {
+    assert!(
+        packets.len() <= RESP_PASS as usize,
+        "{} packet events exceed the chain index",
+        packets.len()
+    );
+    // 1. One slot per distinct op request id.
+    let mut filing: TraceMap<Filing> = TraceMap::default();
+    let mut op_slots = Vec::new();
+    let mut slots = 0u32;
+    for req in ops.iter().filter_map(|op| op.trace) {
+        let own = &mut filing.entry(req).or_default().own;
+        op_slots.push(*own.get_or_insert_with(|| {
+            slots += 1;
+            slots - 1
+        }));
+    }
+    // 2. File each response trace under its final parent's slot.
+    let mut final_parent: TraceMap<TraceId> = TraceMap::default();
+    for ev in packets {
+        if let Some(parent) = ev.parent.filter(|&p| p != ev.trace) {
+            final_parent.insert(ev.trace, parent);
+        }
+    }
+    for (trace, parent) in final_parent {
+        if let Some(slot) = filing.get(&parent).and_then(|f| f.own) {
+            filing.entry(trace).or_default().resp = Some(slot);
+        }
+    }
+    // 3. One pass over the events emits `(slot, entry)` pairs.
+    let mut filed: Vec<(u32, u32)> = Vec::new();
+    for (i, ev) in (0u32..).zip(packets) {
+        let by_parent = ev
+            .parent
+            .filter(|&p| p != ev.trace)
+            .and_then(|p| filing.get(&p))
+            .and_then(|f| f.own);
+        if let Some(slot) = by_parent {
+            filed.push((slot, i));
+        }
+        if let Some(f) = filing.get(&ev.trace) {
+            if let Some(slot) = f.own {
+                filed.push((slot, i));
+            }
+            if let Some(slot) = f.resp.filter(|&s| Some(s) != by_parent) {
+                filed.push((slot, i | RESP_PASS));
+            }
+        }
+    }
+    // 4. Counting sort: slot `s` owns `entries[starts[s]..starts[s + 1]]`.
+    let mut starts = vec![0usize; slots as usize + 1];
+    for &(slot, _) in &filed {
+        starts[slot as usize + 1] += 1;
+    }
+    for s in 1..starts.len() {
+        starts[s] += starts[s - 1];
+    }
+    let mut next = starts.clone();
+    let mut entries = vec![0u32; filed.len()];
+    for &(slot, entry) in &filed {
+        entries[next[slot as usize]] = entry;
+        next[slot as usize] += 1;
+    }
+    drop(filed);
+    // 5. Each op sorts its own entries by `(clamped at, pass, index)`. An
+    // event is filed under a slot at most once, so the keys are distinct
+    // and an unstable sort is exact.
+    let mut keys: Vec<(SimTime, u32)> = Vec::new();
+    let mut chain: Vec<ChainedEvent> = Vec::new();
+    for (op, slot) in ops.iter().filter(|op| op.trace.is_some()).zip(op_slots) {
+        let (req, slot) = (op.trace, slot as usize);
+        let event = |entry: u32| &packets[(entry & !RESP_PASS) as usize];
+        let clamp = |at: SimTime| at.max(op.start).min(op.end);
+        keys.clear();
+        keys.extend(
+            entries[starts[slot]..starts[slot + 1]]
+                .iter()
+                .map(|&e| (clamp(event(e).at), e)),
+        );
+        keys.sort_unstable();
+        chain.clear();
+        chain.extend(keys.iter().map(|&(at, e)| ChainedEvent {
+            event: *event(e),
+            at,
+            response: Some(event(e).trace) != req,
+        }));
+        f(op, &chain);
+    }
 }
 
 /// Computes per-stage breakdowns for every operation that injected a
 /// traceable packet.
 ///
-/// The [`op_chains`] events become telescoping segments: `cpu-issue`
-/// (issue to first packet event), one segment per lifecycle point
-/// reached (`resp-`-prefixed for response packets), and `cpu-complete`
-/// (last packet event to CPU-observed completion).
+/// The [`for_each_chain`] events become telescoping segments: `cpu-issue`
+/// merged with the first lifecycle point reached (issue to first packet
+/// event, e.g. `cpu-issue→tx-enqueue`), one segment per further point
+/// (`resp-`-prefixed for response packets), and `cpu-complete` (last
+/// packet event to CPU-observed completion).
 pub fn op_breakdowns(ops: &[OpEvent], packets: &[PacketEvent]) -> Vec<OpBreakdown> {
-    op_chains(ops, packets)
-        .into_iter()
-        .map(|chain| {
-            let op = chain.op;
-            let mut segments = Vec::with_capacity(chain.events.len() + 2);
-            let mut prev = op.start;
-            for ev in &chain.events {
-                let label = if ev.response {
-                    format!("resp-{}", ev.event.stage.label())
-                } else {
-                    ev.event.stage.label().to_string()
-                };
-                segments.push(Segment {
-                    label,
-                    dur: ev.at.saturating_sub(prev),
-                });
-                prev = ev.at;
-            }
-            segments.insert(
-                0,
-                Segment {
-                    label: "cpu-issue".to_string(),
-                    dur: SimTime::ZERO,
-                },
-            );
-            // Merge the leading zero-length placeholder with the first real
-            // segment: time from issue to the first packet event is the CPU
-            // issue cost.
-            if segments.len() > 1 {
-                let first = segments.remove(1);
-                segments[0].dur = first.dur;
-                segments[0].label = format!("cpu-issue\u{2192}{}", first.label);
-            }
+    let mut out = Vec::new();
+    for_each_chain(ops, packets, |op, events| {
+        let mut segments = Vec::with_capacity(events.len() + 2);
+        let mut prev = op.start;
+        for (i, ev) in events.iter().enumerate() {
+            let issue = if i == 0 { "cpu-issue\u{2192}" } else { "" };
+            let resp = if ev.response { "resp-" } else { "" };
             segments.push(Segment {
-                label: "cpu-complete".to_string(),
-                dur: op.end.saturating_sub(prev),
+                label: format!("{issue}{resp}{}", ev.event.stage.label()),
+                dur: ev.at.saturating_sub(prev),
             });
-            OpBreakdown { op, segments }
-        })
-        .collect()
+            prev = ev.at;
+        }
+        if events.is_empty() {
+            segments.push(Segment {
+                label: "cpu-issue".to_string(),
+                dur: SimTime::ZERO,
+            });
+        }
+        segments.push(Segment {
+            label: "cpu-complete".to_string(),
+            dur: op.end.saturating_sub(prev),
+        });
+        out.push(OpBreakdown { op: *op, segments });
+    });
+    out
 }
 
 /// One Chrome trace-event, pre-serialization — exposed so checkers can
@@ -764,6 +844,148 @@ mod tests {
             kind: "write_req",
             bytes: 22,
         }
+    }
+
+    /// A chain reduced to what [`op_chains`] promises: each event's clamped
+    /// instant, the raw event and the response flag, in chain order.
+    type Flat = Vec<(SimTime, PacketEvent, bool)>;
+
+    fn flatten(chains: &[OpChain]) -> Vec<Flat> {
+        chains
+            .iter()
+            .map(|c| {
+                c.events
+                    .iter()
+                    .map(|e| (e.at, e.event, e.response))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Brute-force chains straight from the membership rule: for each op
+    /// `Q`, every event with `trace == Q` or with `parent == Q != trace`
+    /// (pass 0), then every other event whose trace's last-wins parent is
+    /// `Q` (pass 1), stable-sorted by time clamped to the op's window.
+    fn oracle_chains(ops: &[OpEvent], packets: &[PacketEvent]) -> Vec<Flat> {
+        let mut final_parent = HashMap::new();
+        for ev in packets {
+            if let Some(p) = ev.parent.filter(|&p| p != ev.trace) {
+                final_parent.insert(ev.trace, p);
+            }
+        }
+        let mut out = Vec::new();
+        for op in ops {
+            let Some(q) = op.trace else { continue };
+            let (mut pass0, mut pass1) = (Vec::new(), Vec::new());
+            for ev in packets {
+                // `parent == Q` here implies `parent != trace`.
+                if ev.trace == q || ev.parent == Some(q) {
+                    pass0.push(ev);
+                } else if final_parent.get(&ev.trace) == Some(&q) {
+                    pass1.push(ev);
+                }
+            }
+            let mut chain: Flat = pass0
+                .into_iter()
+                .chain(pass1)
+                .map(|ev| (ev.at.max(op.start).min(op.end), *ev, ev.trace != q))
+                .collect();
+            chain.sort_by_key(|c| c.0);
+            out.push(chain);
+        }
+        out
+    }
+
+    /// `op_chains` against the brute-force oracle on 400 seeded traces
+    /// drawn from a pool of five trace ids on a 40 ns clock, so that the
+    /// cases the chain index must order exactly all occur: same-instant
+    /// ties across pass 0 and pass 1, events clamped from before `start`
+    /// or after `end`, response hops without a parent, responses to
+    /// responses, traces whose parent changes, ops sharing a trace id and
+    /// ops without one. The test counts each case and fails if the
+    /// generator stops producing it.
+    #[test]
+    fn chain_index_matches_the_brute_force_oracle() {
+        use tg_sim::SimRng;
+        let stages = [
+            Stage::TxEnqueue,
+            Stage::TxLaunch,
+            Stage::SwitchEnqueue,
+            Stage::SwitchTx,
+            Stage::RxEnqueue,
+            Stage::Commit,
+            Stage::Retransmit,
+        ];
+        let sites = [
+            Site::Node(NodeId::new(0)),
+            Site::Node(NodeId::new(1)),
+            Site::Switch(0),
+        ];
+        // [cross-pass tie, clamped, parentless response hop, response to a
+        // response, changed parent, shared trace id, untraced op]
+        let mut seen = [0u32; 7];
+        let pool: Vec<TraceId> = (0..5)
+            .map(|i| TraceId::packet(NodeId::new(i % 2), u64::from(i) + 7))
+            .collect();
+        let mut rng = SimRng::new(0xC4A1_0001);
+        for case in 0..400 {
+            let packets: Vec<PacketEvent> = (0..rng.range_between(0, 40))
+                .map(|_| {
+                    let mut ev = pe(
+                        rng.range(40),
+                        *rng.pick(&pool),
+                        *rng.pick(&sites),
+                        *rng.pick(&stages),
+                    );
+                    if rng.chance(0.3) {
+                        ev.parent = Some(*rng.pick(&pool));
+                    }
+                    ev
+                })
+                .collect();
+            let ops: Vec<OpEvent> = (0..rng.range_between(0, 6))
+                .map(|_| {
+                    let start = rng.range(40);
+                    OpEvent {
+                        node: NodeId::new(0),
+                        kind: OpKind::RemoteRead,
+                        start: SimTime::from_ns(start),
+                        end: SimTime::from_ns(start + rng.range(40 - start)),
+                        trace: (!rng.chance(0.15)).then(|| *rng.pick(&pool)),
+                    }
+                })
+                .collect();
+
+            let want = oracle_chains(&ops, &packets);
+            assert_eq!(flatten(&op_chains(&ops, &packets)), want, "case {case}");
+
+            let mut parents: HashMap<TraceId, Vec<TraceId>> = HashMap::new();
+            for ev in &packets {
+                if let Some(p) = ev.parent.filter(|&p| p != ev.trace) {
+                    parents.entry(ev.trace).or_default().push(p);
+                }
+            }
+            let traced: Vec<TraceId> = ops.iter().filter_map(|op| op.trace).collect();
+            for (q, chain) in traced.iter().zip(&want) {
+                let pass0 = |ev: &PacketEvent| ev.trace == *q || ev.parent == Some(*q);
+                seen[0] += u32::from(
+                    chain
+                        .windows(2)
+                        .any(|w| w[0].0 == w[1].0 && pass0(&w[0].1) != pass0(&w[1].1)),
+                );
+                seen[1] += u32::from(chain.iter().any(|c| c.0 != c.1.at));
+                seen[2] += u32::from(chain.iter().any(|c| c.2 && c.1.parent.is_none()));
+                seen[3] += u32::from(parents.contains_key(q) && chain.iter().any(|c| c.2));
+                seen[5] += u32::from(traced.iter().filter(|t| *t == q).count() > 1);
+            }
+            seen[4] += u32::from(
+                parents
+                    .values()
+                    .any(|ps| ps.windows(2).any(|w| w[0] != w[1])),
+            );
+            seen[6] += u32::from(ops.iter().any(|op| op.trace.is_none()));
+        }
+        assert!(seen.iter().all(|&n| n > 0), "uncovered case: {seen:?}");
     }
 
     #[test]

@@ -337,11 +337,14 @@ impl Packet {
     }
 }
 
-/// A minimal FNV-1a [`Hasher`] for the frame checksum: one multiply and
-/// xor per byte, no per-hash key setup. Shared with the control-frame
-/// checksum in [`crate::ctrl`] so both frame classes use the same CRC
-/// model.
-pub(crate) struct Fnv1a(u64);
+/// A minimal FNV-1a [`Hasher`]: one multiply and xor per byte (per word
+/// for `u64` input), no per-hash key setup. It is the frame checksum, shared
+/// with the control-frame checksum in [`crate::ctrl`] so both frame classes
+/// use the same CRC model, and the map hasher for keys the simulator makes
+/// itself, such as [`TraceId`](crate::TraceId)s. It resists no crafted
+/// collisions: keep the default hasher for keys from outside the program.
+#[derive(Debug)]
+pub struct Fnv1a(u64);
 
 impl Default for Fnv1a {
     fn default() -> Self {
