@@ -4,15 +4,14 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use tg_mem::{Decoded, PAddr};
 use tg_net::{
-    DetectParams, FaultInjector, FrameFate, HeartbeatDetector, LinkError, LinkRx, Liveness,
-    NetEvent, RxFifo, RxVerdict, TimerAction, TxPort,
+    receive_ctrl, seal_ctrl, CtrlEffect, DetectParams, FaultInjector, FrameFate, HeartbeatDetector,
+    LinkError, LinkRx, Liveness, NetEvent, RxFate, RxFifo, TimerAction, TxPort,
 };
 use tg_proto::PendingCam;
 use tg_sim::{CompId, SimTime};
 use tg_wire::trace::{PacketEvent, SharedProbe, Site, Stage, TraceId};
 use tg_wire::{
-    AtomicOp, CtrlFrame, CtrlMsg, GOffset, NodeId, Packet, PageNum, PayloadPool, TimingConfig,
-    WireMsg,
+    AtomicOp, CtrlMsg, GOffset, NodeId, Packet, PageNum, PayloadPool, TimingConfig, WireMsg,
 };
 
 use crate::config::{HibConfig, LaunchMode, LocalWritePolicy};
@@ -1171,26 +1170,16 @@ impl Hib {
     pub fn on_net(&mut self, ev: NetEvent, host: &mut dyn HibHost) {
         match ev {
             NetEvent::Arrive { packet, .. } => {
-                let verdict = self.rx_link.as_mut().map(|rx| rx.accept(&packet));
-                match verdict {
-                    None => {
-                        self.emit(host.now(), &packet, Stage::RxEnqueue, None);
-                        if let Err(err) = self.rx_fifo.push(packet) {
-                            self.record_link_error(err, host);
-                        }
-                        self.pump_rx(host);
-                    }
-                    Some(RxVerdict::Accept { ack }) => {
-                        let sack = self.rx_link.as_ref().map_or(0, LinkRx::sack_bits);
-                        self.send_ctrl(
-                            CtrlMsg::Ack { seq: ack, sack },
-                            self.timing.link_prop,
-                            host,
-                        );
-                        self.emit(host.now(), &packet, Stage::RxEnqueue, None);
-                        if let Err(err) = self.rx_fifo.push(packet) {
-                            self.record_link_error(err, host);
-                        }
+                let (fate, reply) = self
+                    .rx_link
+                    .as_mut()
+                    .map_or((RxFate::Deliver, None), |rx| rx.receive(&packet));
+                if let Some(msg) = reply {
+                    self.send_ctrl(msg, self.timing.link_prop, host);
+                }
+                match fate {
+                    RxFate::Deliver => {
+                        self.rx_enqueue(packet, host);
                         // The arrival may have closed a reorder-window
                         // gap: enqueue the released successors in order.
                         // Credit accounting bounds FIFO + window occupancy
@@ -1201,62 +1190,12 @@ impl Hib {
                             .map(LinkRx::take_ready)
                             .unwrap_or_default();
                         for p in released {
-                            self.emit(host.now(), &p, Stage::RxEnqueue, None);
-                            if let Err(err) = self.rx_fifo.push(p) {
-                                self.record_link_error(err, host);
-                            }
+                            self.rx_enqueue(p, host);
                         }
                         self.pump_rx(host);
                     }
-                    Some(RxVerdict::Held { ack, nack, dup }) => {
-                        if dup {
-                            // Spurious retransmit of an already-parked
-                            // frame: drop the copy (the missing base
-                            // frame's ack will carry the bitmap).
-                            self.emit(host.now(), &packet, Stage::Dropped, None);
-                        } else if nack {
-                            let sack = self.rx_link.as_ref().map_or(0, LinkRx::sack_bits);
-                            self.send_ctrl(
-                                CtrlMsg::Nack {
-                                    expected: ack + 1,
-                                    sack,
-                                },
-                                self.timing.link_prop,
-                                host,
-                            );
-                        } else {
-                            // Refresh the sender's view of the window with
-                            // a duplicate cumulative ack + grown bitmap.
-                            let sack = self.rx_link.as_ref().map_or(0, LinkRx::sack_bits);
-                            self.send_ctrl(
-                                CtrlMsg::Ack { seq: ack, sack },
-                                self.timing.link_prop,
-                                host,
-                            );
-                        }
-                    }
-                    Some(RxVerdict::DupAck { ack }) => {
-                        self.emit(host.now(), &packet, Stage::Dropped, None);
-                        let sack = self.rx_link.as_ref().map_or(0, LinkRx::sack_bits);
-                        self.send_ctrl(
-                            CtrlMsg::Ack { seq: ack, sack },
-                            self.timing.link_prop,
-                            host,
-                        );
-                    }
-                    Some(RxVerdict::NackCorrupt { expected })
-                    | Some(RxVerdict::NackGap { expected }) => {
-                        self.emit(host.now(), &packet, Stage::Dropped, None);
-                        let sack = self.rx_link.as_ref().map_or(0, LinkRx::sack_bits);
-                        self.send_ctrl(
-                            CtrlMsg::Nack { expected, sack },
-                            self.timing.link_prop,
-                            host,
-                        );
-                    }
-                    Some(RxVerdict::Discard) => {
-                        self.emit(host.now(), &packet, Stage::Dropped, None);
-                    }
+                    RxFate::Parked => {}
+                    RxFate::Dropped => self.emit(host.now(), &packet, Stage::Dropped, None),
                 }
             }
             NetEvent::Credit { .. } => {
@@ -1274,62 +1213,25 @@ impl Hib {
                 self.on_tick(HibTick::TxFree, host);
             }
             NetEvent::Ctrl { frame, .. } => {
-                if !frame.checksum_ok() {
-                    self.ctrl_discards += 1;
-                    return;
-                }
-                match frame.msg {
-                    CtrlMsg::Ack { seq, sack } => {
-                        if let Some(tx) = self.tx.as_mut() {
-                            tx.on_ack(seq, sack, host.now());
-                        }
-                        self.check_starvation(host);
-                        self.pump_tx(host);
-                    }
-                    CtrlMsg::Nack { expected, sack } => {
-                        let action = self
-                            .tx
-                            .as_mut()
-                            .map(|tx| tx.on_nack(expected, sack, host.now()));
-                        if let Some(TimerAction::Dead(err)) = action {
+                let now = host.now();
+                match receive_ctrl(&frame, self.tx.as_mut(), self.rx_link.as_mut(), now) {
+                    CtrlEffect::Corrupt => self.ctrl_discards += 1,
+                    CtrlEffect::Acked { dead } => {
+                        if let Some(err) = dead {
                             self.record_link_error(err, host);
                         }
                         self.check_starvation(host);
                         self.pump_tx(host);
                     }
-                    CtrlMsg::SyncReq { token } => {
-                        // Resync replies are idempotent: the drain counter
-                        // is monotone, so answering a retried (or
-                        // duplicated) probe never double-credits.
-                        let drained = self.rx_link.as_ref().map(LinkRx::drained).unwrap_or(0);
-                        self.send_ctrl(
-                            CtrlMsg::SyncAck { token, drained },
-                            self.timing.link_prop,
-                            host,
-                        );
-                    }
-                    CtrlMsg::SyncAck { token, drained } => {
-                        let now = host.now();
-                        let applied = self
-                            .tx
-                            .as_mut()
-                            .map(|tx| tx.on_sync_ack(token, drained, now))
-                            .unwrap_or(false);
-                        if applied {
+                    CtrlEffect::Synced { resynced } => {
+                        if let Some(token) = resynced {
                             self.emit_resync(now, token);
                         }
                         self.pump_tx(host);
                     }
-                    CtrlMsg::Heartbeat { origin, .. } => {
-                        self.on_heartbeat(origin, host);
-                    }
-                    CtrlMsg::Reset { next } => {
-                        // The neighbor revived its transmit epoch after an
-                        // outage; resynchronize the receive sequence.
-                        if let Some(rx) = self.rx_link.as_mut() {
-                            rx.on_reset(next);
-                        }
-                    }
+                    CtrlEffect::Reply(msg) => self.send_ctrl(msg, self.timing.link_prop, host),
+                    CtrlEffect::Heartbeat { origin, .. } => self.on_heartbeat(origin, host),
+                    CtrlEffect::Reset => {}
                 }
             }
             NetEvent::RetxTimer { gen, .. } => {
@@ -1685,6 +1587,14 @@ impl Hib {
         }
     }
 
+    /// Puts a delivered arrival into the RX FIFO.
+    fn rx_enqueue(&mut self, packet: Packet, host: &mut dyn HibHost) {
+        self.emit(host.now(), &packet, Stage::RxEnqueue, None);
+        if let Err(err) = self.rx_fifo.push(packet) {
+            self.record_link_error(err, host);
+        }
+    }
+
     /// Seals and launches one control frame toward the upstream switch
     /// after `delay`, consulting the injector for its fate. The board's
     /// uplink and its credit-return path share one physical link, so
@@ -1694,13 +1604,9 @@ impl Hib {
             return;
         };
         let link = self.tx.as_ref().and_then(TxPort::link);
-        let mut frame = CtrlFrame::seal(msg);
-        if let (Some(inj), Some(link)) = (self.injector.as_ref(), link) {
-            if inj.ctrl_fate(link, host.now(), &mut frame) == FrameFate::Drop {
-                return;
-            }
+        if let Some(frame) = seal_ctrl(msg, self.injector.as_ref(), link, host.now()) {
+            host.schedule_net(delay, up, NetEvent::Ctrl { port, frame });
         }
-        host.schedule_net(delay, up, NetEvent::Ctrl { port, frame });
     }
 
     /// Returns the credit for a consumed arrival, unless the injector

@@ -1,8 +1,6 @@
-//! Behavioral tests of the Host Interface Board, driven through a mock
-//! host and a zero-switch "hub" that routes packets between boards.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! Behavioral tests of the Host Interface Board: each board is a
+//! `tg_sim` component behind a mock host, and a zero-switch "hub" routes
+//! packets between boards.
 
 use tg_hib::regs::{opcode, reg, ShadowArg};
 use tg_hib::{
@@ -11,44 +9,42 @@ use tg_hib::{
 };
 use tg_mem::{PAddr, PhysMem};
 use tg_net::NetEvent;
-use tg_sim::{CompId, SimTime};
+use tg_sim::{CompId, Component, Ctx, Engine, RunLimit, SimTime};
 use tg_wire::{GOffset, NodeId, PageNum, TimingConfig, WireMsg, PAGE_BYTES};
 
-/// Events queued by the harness.
+/// Events the engine delivers to a board.
 #[derive(Debug)]
 enum Ev {
     Net(NetEvent),
     Tick(HibTick),
 }
 
-/// Per-dispatch host implementation: collects everything the HIB asks for.
+/// Host implementation for one call into a board: records what the HIB
+/// reports and collects what it schedules.
 struct Host<'a> {
     segment: &'a mut PhysMem,
-    hub: CompId,
-    board: usize,
-    out: Vec<(SimTime, usize, Ev)>,
     completions: &'a mut Vec<(SimTime, CpuResult)>,
     interrupts: &'a mut Vec<(SimTime, HibInterrupt)>,
     os_msgs: &'a mut Vec<(NodeId, WireMsg)>,
+    hub: CompId,
+    boards: &'a [CompId],
+    me: CompId,
     now: SimTime,
+    out: Vec<(SimTime, CompId, Ev)>,
 }
 
 impl HibHost for Host<'_> {
     fn schedule_net(&mut self, delay: SimTime, dst: CompId, ev: NetEvent) {
         assert_eq!(dst, self.hub, "all traffic flows through the hub");
         if let NetEvent::Arrive { packet, .. } = ev {
-            let target = packet.dst.index();
-            self.out.push((
-                self.now + delay,
-                target,
-                Ev::Net(NetEvent::Arrive { port: 0, packet }),
-            ));
+            let target = self.boards[packet.dst.index()];
+            self.out
+                .push((delay, target, Ev::Net(NetEvent::Arrive { port: 0, packet })));
         }
         // Credits to the hub are dropped: the hub has infinite capacity.
     }
     fn schedule_tick(&mut self, delay: SimTime, tick: HibTick) {
-        self.out
-            .push((self.now + delay, self.board, Ev::Tick(tick)));
+        self.out.push((delay, self.me, Ev::Tick(tick)));
     }
     fn cpu_complete(&mut self, delay: SimTime, res: CpuResult) {
         self.completions.push((self.now + delay, res));
@@ -64,96 +60,115 @@ impl HibHost for Host<'_> {
     }
 }
 
-struct Bench {
-    boards: Vec<Hib>,
-    segments: Vec<PhysMem>,
-    completions: Vec<Vec<(SimTime, CpuResult)>>,
-    interrupts: Vec<Vec<(SimTime, HibInterrupt)>>,
-    os_msgs: Vec<Vec<(NodeId, WireMsg)>>,
-    queue: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
-    payloads: Vec<Option<Ev>>,
+/// One board and everything its host recorded.
+struct Board {
+    hib: Hib,
+    segment: PhysMem,
+    completions: Vec<(SimTime, CpuResult)>,
+    interrupts: Vec<(SimTime, HibInterrupt)>,
+    os_msgs: Vec<(NodeId, WireMsg)>,
     hub: CompId,
-    now: SimTime,
+    boards: Vec<CompId>,
 }
 
-fn dummy_comp_id() -> CompId {
-    struct Noop;
-    impl tg_sim::Component<u32> for Noop {
-        fn on_event(&mut self, _: u32, _: &mut tg_sim::Ctx<'_, u32>) {}
-        fn name(&self) -> &str {
-            "hub"
+impl Board {
+    /// Runs `f` against the board with a fresh host at `now`; returns its
+    /// result and the events the board scheduled, as `(delay, dst, ev)`.
+    fn call<R>(
+        &mut self,
+        me: CompId,
+        now: SimTime,
+        f: impl FnOnce(&mut Hib, &mut Host) -> R,
+    ) -> (R, Vec<(SimTime, CompId, Ev)>) {
+        let mut host = Host {
+            segment: &mut self.segment,
+            completions: &mut self.completions,
+            interrupts: &mut self.interrupts,
+            os_msgs: &mut self.os_msgs,
+            hub: self.hub,
+            boards: &self.boards,
+            me,
+            now,
+            out: Vec::new(),
+        };
+        let r = f(&mut self.hib, &mut host);
+        (r, host.out)
+    }
+}
+
+impl Component<Ev> for Board {
+    fn on_event(&mut self, ev: Ev, ctx: &mut Ctx<'_, Ev>) {
+        let ((), out) = self.call(ctx.self_id(), ctx.now(), |hib, host| match ev {
+            Ev::Net(ev) => hib.on_net(ev, host),
+            Ev::Tick(t) => hib.on_tick(t, host),
+        });
+        for (delay, dst, ev) in out {
+            ctx.send(dst, delay, ev);
         }
     }
-    let mut eng: tg_sim::Engine<u32> = tg_sim::Engine::new();
-    eng.add(Noop)
+    fn name(&self) -> &str {
+        "board"
+    }
+}
+
+/// The hub's own slot in the engine; it never receives an event.
+struct Hub;
+
+impl Component<Ev> for Hub {
+    fn on_event(&mut self, _: Ev, _: &mut Ctx<'_, Ev>) {}
+    fn name(&self) -> &str {
+        "hub"
+    }
+}
+
+struct Bench {
+    engine: Engine<Ev>,
+    boards: Vec<CompId>,
 }
 
 impl Bench {
     fn new(n: usize, config: HibConfig) -> Self {
         let timing = TimingConfig::telegraphos_i();
-        let hub = dummy_comp_id();
-        let mut boards = Vec::new();
-        for i in 0..n {
-            let mut hib = Hib::new(NodeId::new(i as u16), config.clone(), timing.clone());
-            hib.wire(
-                tg_net::TxPort::new(hub, i as u32, 1_000_000),
-                (hub, i as u32),
-                1_000_000,
-            );
-            boards.push(hib);
+        let mut engine = Engine::new();
+        let hub = engine.add(Hub);
+        let boards: Vec<CompId> = (0..n)
+            .map(|i| {
+                let mut hib = Hib::new(NodeId::new(i as u16), config.clone(), timing.clone());
+                hib.wire(
+                    tg_net::TxPort::new(hub, i as u32, 1_000_000),
+                    (hub, i as u32),
+                    1_000_000,
+                );
+                engine.add(Board {
+                    hib,
+                    segment: PhysMem::new(),
+                    completions: Vec::new(),
+                    interrupts: Vec::new(),
+                    os_msgs: Vec::new(),
+                    hub,
+                    boards: Vec::new(),
+                })
+            })
+            .collect();
+        for &id in &boards {
+            engine.get_mut::<Board>(id).expect("board").boards = boards.clone();
         }
-        Bench {
-            boards,
-            segments: (0..n).map(|_| PhysMem::new()).collect(),
-            completions: (0..n).map(|_| Vec::new()).collect(),
-            interrupts: (0..n).map(|_| Vec::new()).collect(),
-            os_msgs: (0..n).map(|_| Vec::new()).collect(),
-            queue: BinaryHeap::new(),
-            payloads: Vec::new(),
-            hub,
-            now: SimTime::ZERO,
-        }
+        Bench { engine, boards }
     }
 
-    /// Runs `f` against one board with a fresh host, then queues whatever
-    /// the board scheduled.
-    fn with_board<R>(&mut self, board: usize, f: impl FnOnce(&mut Hib, &mut Host) -> R) -> R {
-        let out;
-        let r;
-        {
-            let Bench {
-                boards,
-                segments,
-                completions,
-                interrupts,
-                os_msgs,
-                hub,
-                now,
-                ..
-            } = self;
-            let mut host = Host {
-                segment: &mut segments[board],
-                hub: *hub,
-                board,
-                out: Vec::new(),
-                completions: &mut completions[board],
-                interrupts: &mut interrupts[board],
-                os_msgs: &mut os_msgs[board],
-                now: *now,
-            };
-            r = f(&mut boards[board], &mut host);
-            out = std::mem::take(&mut host.out);
+    fn board(&mut self, i: usize) -> &mut Board {
+        self.engine.get_mut(self.boards[i]).expect("board")
+    }
+
+    /// Runs `f` against one board outside any event (a CPU access or an
+    /// OS request), then schedules whatever the board asked for.
+    fn with_board<R>(&mut self, i: usize, f: impl FnOnce(&mut Hib, &mut Host) -> R) -> R {
+        let (me, now) = (self.boards[i], self.engine.now());
+        let (r, out) = self.board(i).call(me, now, f);
+        for (delay, dst, ev) in out {
+            self.engine.schedule(delay, dst, ev);
         }
-        self.absorb(out);
         r
-    }
-
-    fn absorb(&mut self, out: Vec<(SimTime, usize, Ev)>) {
-        for (at, board, ev) in out {
-            let idx = self.payloads.len() as u64;
-            self.payloads.push(Some(ev));
-            self.queue.push(Reverse((at, idx, board)));
-        }
     }
 
     fn store(&mut self, board: usize, pa: PAddr, val: u64) -> StoreOutcome {
@@ -165,23 +180,12 @@ impl Bench {
     }
 
     fn fence(&mut self, board: usize) -> bool {
-        self.boards[board].fence()
+        self.board(board).hib.fence()
     }
 
     fn run(&mut self) {
-        let mut guard = 0u64;
-        while let Some(Reverse((at, payload_idx, board))) = self.queue.pop() {
-            guard += 1;
-            assert!(guard < 1_000_000, "harness livelock");
-            self.now = at;
-            let ev = self.payloads[payload_idx as usize]
-                .take()
-                .expect("payload consumed once");
-            self.with_board(board, |b, host| match ev {
-                Ev::Net(ev) => b.on_net(ev, host),
-                Ev::Tick(t) => b.on_tick(t, host),
-            });
-        }
+        let limit = self.engine.run_events(1_000_000);
+        assert_eq!(limit, RunLimit::Drained, "harness livelock");
     }
 }
 
@@ -197,24 +201,27 @@ fn local(off: u64) -> PAddr {
 fn remote_write_lands_and_acks() {
     let mut b = Bench::new(2, HibConfig::default());
     assert_eq!(b.store(0, remote(1, 64), 99), StoreOutcome::Done);
-    assert!(!b.boards[0].quiescent(), "write outstanding");
+    assert!(!b.board(0).hib.quiescent(), "write outstanding");
     b.run();
-    assert_eq!(b.segments[1].read(GOffset::new(64)), 99);
-    assert!(b.boards[0].quiescent(), "ack consumed");
-    assert_eq!(b.boards[0].stats().remote_writes, 1);
-    assert_eq!(b.boards[0].stats().acks_rx, 1);
+    assert_eq!(b.board(1).segment.read(GOffset::new(64)), 99);
+    assert!(b.board(0).hib.quiescent(), "ack consumed");
+    assert_eq!(b.board(0).hib.stats().remote_writes, 1);
+    assert_eq!(b.board(0).hib.stats().acks_rx, 1);
 }
 
 #[test]
 fn remote_read_returns_value() {
     let mut b = Bench::new(2, HibConfig::default());
-    b.segments[1].write(GOffset::new(128), 7777);
+    b.board(1).segment.write(GOffset::new(128), 7777);
     assert_eq!(b.load(0, remote(1, 128)), LoadOutcome::Pending);
     b.run();
-    assert_eq!(b.completions[0].len(), 1);
-    assert_eq!(b.completions[0][0].1, CpuResult::LoadDone { val: 7777 });
+    assert_eq!(b.board(0).completions.len(), 1);
+    assert_eq!(
+        b.board(0).completions[0].1,
+        CpuResult::LoadDone { val: 7777 }
+    );
     // Read latency is multiple microseconds end to end.
-    assert!(b.completions[0][0].0 > SimTime::from_us(1));
+    assert!(b.board(0).completions[0].0 > SimTime::from_us(1));
 }
 
 #[test]
@@ -226,13 +233,13 @@ fn only_one_outstanding_read() {
         LoadOutcome::Fault(HibFault::ReadBusy)
     );
     b.run();
-    assert_eq!(b.completions[0].len(), 1);
+    assert_eq!(b.board(0).completions.len(), 1);
 }
 
 #[test]
 fn special_mode_atomic_fetch_inc() {
     let mut b = Bench::new(2, HibConfig::default()); // Telegraphos I launch
-    b.segments[1].write(GOffset::new(40), 10);
+    b.board(1).segment.write(GOffset::new(40), 10);
     // PAL sequence: enter special mode, pass the target address (datum =
     // increment), then GO.
     assert_eq!(
@@ -243,17 +250,17 @@ fn special_mode_atomic_fetch_inc() {
     assert_eq!(b.load(0, PAddr::hib_reg(reg::GO)), LoadOutcome::Pending);
     b.run();
     assert_eq!(
-        b.completions[0].last().unwrap().1,
+        b.board(0).completions.last().unwrap().1,
         CpuResult::LaunchDone { result: 10 }
     );
-    assert_eq!(b.segments[1].read(GOffset::new(40)), 15);
-    assert_eq!(b.boards[0].stats().atomics, 1);
+    assert_eq!(b.board(1).segment.read(GOffset::new(40)), 15);
+    assert_eq!(b.board(0).hib.stats().atomics, 1);
 }
 
 #[test]
 fn special_mode_compare_swap_failure_leaves_value() {
     let mut b = Bench::new(2, HibConfig::default());
-    b.segments[1].write(GOffset::new(0), 3);
+    b.board(1).segment.write(GOffset::new(0), 3);
     b.store(0, PAddr::hib_reg(reg::SPECIAL_MODE), opcode::COMPARE_SWAP);
     // expected = 9 (mismatch), new = 1.
     assert_eq!(b.store(0, remote(1, 0), 9), StoreOutcome::Done);
@@ -261,17 +268,21 @@ fn special_mode_compare_swap_failure_leaves_value() {
     assert_eq!(b.load(0, PAddr::hib_reg(reg::GO)), LoadOutcome::Pending);
     b.run();
     assert_eq!(
-        b.completions[0].last().unwrap().1,
+        b.board(0).completions.last().unwrap().1,
         CpuResult::LaunchDone { result: 3 }
     );
-    assert_eq!(b.segments[1].read(GOffset::new(0)), 3, "CAS must not store");
+    assert_eq!(
+        b.board(1).segment.read(GOffset::new(0)),
+        3,
+        "CAS must not store"
+    );
 }
 
 #[test]
 fn context_shadow_launch_with_key() {
     let mut b = Bench::new(2, HibConfig::telegraphos_ii());
-    b.boards[0].install_context_key(1, 0xABCD);
-    b.segments[1].write(GOffset::new(16), 100);
+    b.board(0).hib.install_context_key(1, 0xABCD);
+    b.board(1).segment.write(GOffset::new(16), 100);
     let ctx_reg = |slot: u64| PAddr::hib_reg(reg::CTX_BASE + reg::CTX_STRIDE + slot * 8);
     assert_eq!(
         b.store(0, ctx_reg(reg::SLOT_OP), opcode::FETCH_STORE),
@@ -295,16 +306,16 @@ fn context_shadow_launch_with_key() {
     assert_eq!(b.load(0, ctx_reg(reg::SLOT_GO)), LoadOutcome::Pending);
     b.run();
     assert_eq!(
-        b.completions[0].last().unwrap().1,
+        b.board(0).completions.last().unwrap().1,
         CpuResult::LaunchDone { result: 100 }
     );
-    assert_eq!(b.segments[1].read(GOffset::new(16)), 555);
+    assert_eq!(b.board(1).segment.read(GOffset::new(16)), 555);
 }
 
 #[test]
 fn bad_context_key_faults_and_interrupts() {
     let mut b = Bench::new(2, HibConfig::telegraphos_ii());
-    b.boards[0].install_context_key(0, 42);
+    b.board(0).hib.install_context_key(0, 42);
     let arg = ShadowArg {
         ctx: 0,
         key: 41,
@@ -315,7 +326,7 @@ fn bad_context_key_faults_and_interrupts() {
         StoreOutcome::Fault(HibFault::BadContextKey)
     );
     assert!(matches!(
-        b.interrupts[0].as_slice(),
+        b.board(0).interrupts.as_slice(),
         [(_, HibInterrupt::Protection)]
     ));
 }
@@ -323,9 +334,9 @@ fn bad_context_key_faults_and_interrupts() {
 #[test]
 fn remote_copy_streams_into_local_segment() {
     let mut b = Bench::new(2, HibConfig::telegraphos_ii());
-    b.boards[0].install_context_key(0, 1);
+    b.board(0).hib.install_context_key(0, 1);
     for i in 0..20u64 {
-        b.segments[1].write(GOffset::new(i * 8), 1000 + i);
+        b.board(1).segment.write(GOffset::new(i * 8), 1000 + i);
     }
     let ctx_reg = |slot: u64| PAddr::hib_reg(reg::CTX_BASE + slot * 8);
     b.store(0, ctx_reg(reg::SLOT_OP), opcode::COPY);
@@ -345,16 +356,16 @@ fn remote_copy_streams_into_local_segment() {
     b.store(0, local(PAGE_BYTES).shadow(), dst.encode());
     // Copy returns immediately (non-blocking).
     assert_eq!(b.load(0, ctx_reg(reg::SLOT_GO)), LoadOutcome::Ready(0));
-    assert!(!b.boards[0].quiescent(), "copy outstanding");
+    assert!(!b.board(0).hib.quiescent(), "copy outstanding");
     b.run();
     for i in 0..20u64 {
         assert_eq!(
-            b.segments[0].read(GOffset::new(PAGE_BYTES + i * 8)),
+            b.board(0).segment.read(GOffset::new(PAGE_BYTES + i * 8)),
             1000 + i
         );
     }
-    assert!(b.boards[0].quiescent());
-    assert_eq!(b.boards[0].stats().copies, 1);
+    assert!(b.board(0).hib.quiescent());
+    assert_eq!(b.board(0).hib.stats().copies, 1);
 }
 
 #[test]
@@ -365,13 +376,15 @@ fn fence_waits_for_acks() {
     }
     assert!(!b.fence(0), "writes still outstanding");
     b.run();
-    let fences: Vec<_> = b.completions[0]
+    let fences: Vec<_> = b
+        .board(0)
+        .completions
         .iter()
         .filter(|(_, r)| matches!(r, CpuResult::FenceDone))
         .collect();
     assert_eq!(fences.len(), 1);
     // Fence completes only after the last ack.
-    assert!(b.boards[0].quiescent());
+    assert!(b.board(0).hib.quiescent());
 }
 
 #[test]
@@ -384,7 +397,7 @@ fn fence_on_quiescent_board_is_immediate() {
 fn eager_multicast_fans_out_on_local_store() {
     let mut b = Bench::new(3, HibConfig::default());
     // Page 0 of node 0 maps out to page 2 of node 1 and page 3 of node 2.
-    b.boards[0].shared_map().set_mode(
+    b.board(0).hib.shared_map().set_mode(
         PageNum::new(0),
         PageMode::EagerMapped {
             outs: vec![
@@ -395,18 +408,24 @@ fn eager_multicast_fans_out_on_local_store() {
     );
     assert_eq!(b.store(0, local(24), 4242), StoreOutcome::Done);
     b.run();
-    assert_eq!(b.segments[0].read(GOffset::new(24)), 4242);
-    assert_eq!(b.segments[1].read(GOffset::new(2 * PAGE_BYTES + 24)), 4242);
-    assert_eq!(b.segments[2].read(GOffset::new(3 * PAGE_BYTES + 24)), 4242);
-    assert_eq!(b.boards[0].stats().fanout_tx, 2);
-    assert!(b.boards[0].quiescent(), "multicasts acked");
+    assert_eq!(b.board(0).segment.read(GOffset::new(24)), 4242);
+    assert_eq!(
+        b.board(1).segment.read(GOffset::new(2 * PAGE_BYTES + 24)),
+        4242
+    );
+    assert_eq!(
+        b.board(2).segment.read(GOffset::new(3 * PAGE_BYTES + 24)),
+        4242
+    );
+    assert_eq!(b.board(0).hib.stats().fanout_tx, 2);
+    assert!(b.board(0).hib.quiescent(), "multicasts acked");
 }
 
 /// Sets up the coherent-page triangle used by several tests: node 1 owns
 /// page 0; nodes 0 and 2 hold replicas on their own page 0.
 fn coherent_triangle(config: HibConfig) -> Bench {
     let mut b = Bench::new(3, config);
-    b.boards[1].shared_map().set_mode(
+    b.board(1).hib.shared_map().set_mode(
         PageNum::new(0),
         PageMode::Owned {
             copies: vec![
@@ -416,7 +435,7 @@ fn coherent_triangle(config: HibConfig) -> Bench {
         },
     );
     for i in [0usize, 2] {
-        b.boards[i].shared_map().set_mode(
+        b.board(i).hib.shared_map().set_mode(
             PageNum::new(0),
             PageMode::Replica {
                 owner: NodeId::new(1),
@@ -432,15 +451,15 @@ fn coherent_write_propagates_through_owner() {
     let mut b = coherent_triangle(HibConfig::default());
     assert_eq!(b.store(0, local(8), 5), StoreOutcome::Done);
     // Immediate local visibility (§2.3.2: read your own writes).
-    assert_eq!(b.segments[0].read(GOffset::new(8)), 5);
+    assert_eq!(b.board(0).segment.read(GOffset::new(8)), 5);
     b.run();
     for i in 0..3 {
-        assert_eq!(b.segments[i].read(GOffset::new(8)), 5, "node {i}");
+        assert_eq!(b.board(i).segment.read(GOffset::new(8)), 5, "node {i}");
     }
-    assert!(b.boards[0].quiescent());
-    assert!(b.boards[0].cam().is_empty(), "pending counter consumed");
-    assert_eq!(b.boards[0].stats().reflections_own, 1);
-    assert_eq!(b.boards[2].stats().reflections_rx, 1);
+    assert!(b.board(0).hib.quiescent());
+    assert!(b.board(0).hib.cam().is_empty(), "pending counter consumed");
+    assert_eq!(b.board(0).hib.stats().reflections_own, 1);
+    assert_eq!(b.board(2).hib.stats().reflections_rx, 1);
 }
 
 #[test]
@@ -449,7 +468,7 @@ fn owner_write_multicasts_directly() {
     assert_eq!(b.store(1, local(16), 9), StoreOutcome::Done);
     b.run();
     for i in 0..3 {
-        assert_eq!(b.segments[i].read(GOffset::new(16)), 9, "node {i}");
+        assert_eq!(b.board(i).segment.read(GOffset::new(16)), 9, "node {i}");
     }
 }
 
@@ -483,8 +502,8 @@ fn pending_counter_filters_older_updates() {
     });
     b.run();
     // The foreign 777 was older than our pending 5: never applied.
-    assert_eq!(b.segments[0].read(GOffset::new(8)), 5);
-    assert_eq!(b.boards[0].stats().reflections_filtered, 1);
+    assert_eq!(b.board(0).segment.read(GOffset::new(8)), 5);
+    assert_eq!(b.board(0).hib.stats().reflections_filtered, 1);
 }
 
 #[test]
@@ -499,14 +518,16 @@ fn cam_full_stalls_until_reflection_returns() {
     assert_eq!(b.store(0, local(16), 2), StoreOutcome::Stalled);
     b.run();
     // After the reflection freed the entry, the store retried and retired.
-    let retired: Vec<_> = b.completions[0]
+    let retired: Vec<_> = b
+        .board(0)
+        .completions
         .iter()
         .filter(|(_, r)| matches!(r, CpuResult::StoreRetired))
         .collect();
     assert_eq!(retired.len(), 1);
-    assert_eq!(b.segments[0].read(GOffset::new(16)), 2);
-    assert_eq!(b.segments[1].read(GOffset::new(16)), 2);
-    assert!(b.boards[0].cam().stall_events() >= 1);
+    assert_eq!(b.board(0).segment.read(GOffset::new(16)), 2);
+    assert_eq!(b.board(1).segment.read(GOffset::new(16)), 2);
+    assert!(b.board(0).hib.cam().stall_events() >= 1);
 }
 
 #[test]
@@ -520,7 +541,7 @@ fn same_word_rewrites_share_a_cam_entry() {
     assert_eq!(b.store(0, local(8), 2), StoreOutcome::Done, "same entry");
     b.run();
     for i in 0..3 {
-        assert_eq!(b.segments[i].read(GOffset::new(8)), 2, "node {i}");
+        assert_eq!(b.board(i).segment.read(GOffset::new(8)), 2, "node {i}");
     }
 }
 
@@ -533,10 +554,12 @@ fn stall_until_reflected_policy_blocks_the_store() {
     let mut b = coherent_triangle(config);
     assert_eq!(b.store(0, local(8), 5), StoreOutcome::Stalled);
     // Not locally visible yet — the cost the paper rejects.
-    assert_eq!(b.segments[0].read(GOffset::new(8)), 0);
+    assert_eq!(b.board(0).segment.read(GOffset::new(8)), 0);
     b.run();
-    assert_eq!(b.segments[0].read(GOffset::new(8)), 5);
-    let retired = b.completions[0]
+    assert_eq!(b.board(0).segment.read(GOffset::new(8)), 5);
+    let retired = b
+        .board(0)
+        .completions
         .iter()
         .any(|(_, r)| matches!(r, CpuResult::StoreRetired));
     assert!(retired, "CPU released after the reflection");
@@ -563,22 +586,25 @@ fn tx_queue_full_stalls_and_retries() {
     b.run();
     assert!(stalls > 0, "a 2-deep queue must backpressure 5 writes");
     for i in 0..5u64 {
-        assert_eq!(b.segments[1].read(GOffset::new(i * 8)), i + 1);
+        assert_eq!(b.board(1).segment.read(GOffset::new(i * 8)), i + 1);
     }
-    assert!(b.boards[0].stats().tx_stalls > 0);
+    assert!(b.board(0).hib.stats().tx_stalls > 0);
 }
 
 #[test]
 fn page_access_counters_raise_alarm_once() {
     let mut b = Bench::new(2, HibConfig::default());
-    b.boards[0]
+    b.board(0)
+        .hib
         .shared_map()
         .arm_counters(NodeId::new(1), PageNum::new(0), 100, 3);
     for i in 0..5u64 {
         assert_eq!(b.store(0, remote(1, i * 8), i), StoreOutcome::Done);
     }
     b.run();
-    let alarms: Vec<_> = b.interrupts[0]
+    let alarms: Vec<_> = b
+        .board(0)
+        .interrupts
         .iter()
         .filter(|(_, i)| {
             matches!(
@@ -591,7 +617,7 @@ fn page_access_counters_raise_alarm_once() {
         })
         .collect();
     assert_eq!(alarms.len(), 1, "alarm fires exactly on the 1->0 edge");
-    assert_eq!(b.boards[0].stats().alarms, 1);
+    assert_eq!(b.board(0).hib.stats().alarms, 1);
 }
 
 #[test]
@@ -603,7 +629,7 @@ fn os_messages_are_routed_up() {
     });
     b.run();
     assert_eq!(
-        b.os_msgs[0].as_slice(),
+        b.board(0).os_msgs.as_slice(),
         &[(NodeId::new(1), WireMsg::InvalidateReq { page: 7 })]
     );
 }
@@ -651,10 +677,10 @@ fn interleaved_context_launches_do_not_corrupt_each_other() {
     // instruction by instruction (as a context switch would interleave
     // them), stay isolated because each writes its own context registers.
     let mut b = Bench::new(2, HibConfig::telegraphos_ii());
-    b.boards[0].install_context_key(0, 100);
-    b.boards[0].install_context_key(1, 200);
-    b.segments[1].write(GOffset::new(0), 7);
-    b.segments[1].write(GOffset::new(8), 50);
+    b.board(0).hib.install_context_key(0, 100);
+    b.board(0).hib.install_context_key(1, 200);
+    b.board(1).segment.write(GOffset::new(0), 7);
+    b.board(1).segment.write(GOffset::new(8), 50);
 
     let ctx_reg =
         |ctx: u64, slot: u64| PAddr::hib_reg(reg::CTX_BASE + ctx * reg::CTX_STRIDE + slot * 8);
@@ -683,9 +709,11 @@ fn interleaved_context_launches_do_not_corrupt_each_other() {
     assert_eq!(b.load(0, ctx_reg(0, reg::SLOT_GO)), LoadOutcome::Pending);
     b.run();
     // B's fetch&store hit word 1 with 999; A's fetch&inc hit word 0.
-    assert_eq!(b.segments[1].read(GOffset::new(8)), 999);
-    assert_eq!(b.segments[1].read(GOffset::new(0)), 8);
-    let results: Vec<_> = b.completions[0]
+    assert_eq!(b.board(1).segment.read(GOffset::new(8)), 999);
+    assert_eq!(b.board(1).segment.read(GOffset::new(0)), 8);
+    let results: Vec<_> = b
+        .board(0)
+        .completions
         .iter()
         .filter_map(|(_, r)| match r {
             CpuResult::LaunchDone { result } => Some(*result),
@@ -698,7 +726,7 @@ fn interleaved_context_launches_do_not_corrupt_each_other() {
 #[test]
 fn multicast_write_is_acked_for_fence_coverage() {
     let mut b = Bench::new(3, HibConfig::default());
-    b.boards[0].shared_map().set_mode(
+    b.board(0).hib.shared_map().set_mode(
         PageNum::new(0),
         PageMode::EagerMapped {
             outs: vec![
@@ -708,22 +736,24 @@ fn multicast_write_is_acked_for_fence_coverage() {
         },
     );
     assert_eq!(b.store(0, local(0), 5), StoreOutcome::Done);
-    assert!(!b.boards[0].quiescent(), "multicasts outstanding");
+    assert!(!b.board(0).hib.quiescent(), "multicasts outstanding");
     assert!(!b.fence(0), "fence must wait for multicast acks");
     b.run();
-    let fences = b.completions[0]
+    let fences = b
+        .board(0)
+        .completions
         .iter()
         .filter(|(_, r)| matches!(r, CpuResult::FenceDone))
         .count();
     assert_eq!(fences, 1);
-    assert_eq!(b.boards[0].stats().acks_rx, 2);
+    assert_eq!(b.board(0).hib.stats().acks_rx, 2);
 }
 
 #[test]
 fn hardware_page_fetch_streams_a_whole_page() {
     let mut b = Bench::new(2, HibConfig::default());
     for w in 0..1024u64 {
-        b.segments[1].write(GOffset::new(w * 8), w + 1);
+        b.board(1).segment.write(GOffset::new(w * 8), w + 1);
     }
     // Board 0's OS requests a page image via the hardware stream.
     b.with_board(0, |board, host| {
@@ -737,7 +767,7 @@ fn hardware_page_fetch_streams_a_whole_page() {
     // Board 0's OS received the full page as PageData bursts.
     let mut words = 0u64;
     let mut saw_last = false;
-    for (_, msg) in &b.os_msgs[0] {
+    for (_, msg) in &b.board(0).os_msgs {
         if let WireMsg::PageData {
             tag, vals, last, ..
         } = msg
@@ -750,7 +780,9 @@ fn hardware_page_fetch_streams_a_whole_page() {
     assert_eq!(words, 1024);
     assert!(saw_last);
     // The home OS was notified who fetched (VSM copyset tracking hook).
-    assert!(b.os_msgs[1]
+    assert!(b
+        .board(1)
+        .os_msgs
         .iter()
         .any(|(src, msg)| *src == NodeId::new(0)
             && matches!(msg, WireMsg::PageFetchReq { tag: 77, .. })));

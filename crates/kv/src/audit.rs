@@ -37,9 +37,10 @@
 //! deterministic.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::hash::Hasher;
 
 use telegraphos::Cluster;
-use tg_wire::NodeId;
+use tg_wire::{Fnv1a, NodeId};
 
 use crate::config::KvConfig;
 use crate::layout::OpKindKv;
@@ -71,15 +72,6 @@ pub struct AuditReport {
     pub latencies_ns: Vec<u64>,
     /// The determinism fingerprint of the whole observable history.
     pub fingerprint: u64,
-}
-
-fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
-    let mut h = if h == 0 { 0xcbf2_9ce4_8422_2325 } else { h };
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// The merged stamp replica `ri` holds for `key`, across its local
@@ -270,13 +262,12 @@ pub fn audit(cluster: &Cluster, h: &KvHandles, ever_crashed: &[NodeId]) -> Audit
 /// every replica — into one 64-bit hash. Same seed ⇒ same fingerprint,
 /// bit-for-bit; the campaign runs each configuration twice and compares.
 pub fn fingerprint(cluster: &Cluster, h: &KvHandles) -> u64 {
-    let mut hash = 0u64;
+    let mut hash = Fnv1a::default();
     for (ci, log) in h.client_logs.iter().enumerate() {
         let log = log.borrow();
-        hash = fnv1a(hash, format!("c{ci}").as_bytes());
+        hash.write(format!("c{ci}").as_bytes());
         for r in &log.requests {
-            hash = fnv1a(
-                hash,
+            hash.write(
                 format!(
                     "r{}:{:?}:{}:{}:{}:{}:{}:{:?}:{}",
                     r.req,
@@ -292,8 +283,7 @@ pub fn fingerprint(cluster: &Cluster, h: &KvHandles) -> u64 {
                 .as_bytes(),
             );
         }
-        hash = fnv1a(
-            hash,
+        hash.write(
             format!(
                 "t{}b{}f{}s{}d{}x{}",
                 log.timeouts,
@@ -308,10 +298,9 @@ pub fn fingerprint(cluster: &Cluster, h: &KvHandles) -> u64 {
     }
     for (ri, log) in h.server_logs.iter().enumerate() {
         let log = log.borrow();
-        hash = fnv1a(hash, format!("s{ri}").as_bytes());
+        hash.write(format!("s{ri}").as_bytes());
         for a in &log.applies {
-            hash = fnv1a(
-                hash,
+            hash.write(
                 format!(
                     "a{}:{}:{}:{}:{}:{}",
                     a.server,
@@ -324,8 +313,7 @@ pub fn fingerprint(cluster: &Cluster, h: &KvHandles) -> u64 {
                 .as_bytes(),
             );
         }
-        hash = fnv1a(
-            hash,
+        hash.write(
             format!(
                 "b{}d{}n{}p{}g{}w{}",
                 log.busy_acks,
@@ -340,8 +328,8 @@ pub fn fingerprint(cluster: &Cluster, h: &KvHandles) -> u64 {
     }
     for ri in 0..h.cfg.replicas as usize {
         for key in 0..h.cfg.total_keys() {
-            hash = fnv1a(hash, &merged_stamp_at(cluster, h, ri, key).to_le_bytes());
+            hash.write(&merged_stamp_at(cluster, h, ri, key).to_le_bytes());
         }
     }
-    hash
+    hash.finish()
 }

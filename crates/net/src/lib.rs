@@ -68,7 +68,10 @@ pub use event::{NetEvent, NetMessage};
 pub use fault::{
     CrashWindow, FaultInjector, FaultPlan, FaultStats, FrameFate, LinkId, Outage, Wedge,
 };
-pub use link::{CreditLedger, LinkError, LinkRx, RelParams, RetxMode, RxVerdict, StalledLink};
+pub use link::{
+    receive_ctrl, seal_ctrl, CreditLedger, CtrlEffect, LinkError, LinkRx, RelParams, RetxMode,
+    RxFate, StalledLink,
+};
 pub use port::{PortSnapshot, RxFifo, TimerAction, TxPort, TxTimes};
 pub use route::{FabricView, RouteError, Routes};
 pub use switch::{Switch, SwitchStats};

@@ -17,15 +17,23 @@
 //! frame. The transmit-side state machine (retransmit buffer, adaptive
 //! RTO, backoff, credit resync) lives in [`TxPort`](crate::TxPort).
 //!
+//! Every endpoint kind (HIB, switch, test endpoint) makes the protocol's
+//! decisions here, once: [`LinkRx::receive`] gives an arrived frame its
+//! [`RxFate`] and the ack or nack its sender is owed, [`receive_ctrl`]
+//! applies a control frame to the port's transmit and receive state, and
+//! [`seal_ctrl`] seals an outgoing control frame past the fault
+//! injector. The endpoints keep only their own effects.
+//!
 //! [`Packet::seal`]: tg_wire::Packet::seal
 
 use std::collections::BTreeMap;
 use std::fmt;
 
 use tg_sim::SimTime;
-use tg_wire::Packet;
+use tg_wire::{CtrlFrame, CtrlMsg, NodeId, Packet};
 
-use crate::fault::LinkId;
+use crate::fault::{FaultInjector, FrameFate, LinkId};
+use crate::port::{TimerAction, TxPort};
 
 /// A neighbor-originated protocol violation, reported instead of panicking:
 /// a misbehaving (or fault-injected) peer must degrade the link, not wedge
@@ -202,7 +210,7 @@ impl RelParams {
 
 /// What the receiving link layer decided about one arrived frame.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum RxVerdict {
+enum RxVerdict {
     /// In-order, intact: deliver to the input FIFO and send the
     /// cumulative ACK for `ack`. In SACK mode the arrival may have
     /// released buffered successors — drain [`LinkRx::take_ready`] into
@@ -247,6 +255,19 @@ pub enum RxVerdict {
     /// Sequence gap already NACKed: discard silently (suppresses NACK
     /// storms while a burst of in-flight frames drains).
     Discard,
+}
+
+/// What the receiving end does with one arrived frame, as decided by
+/// [`LinkRx::receive`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum RxFate {
+    /// Deliver it, then every frame [`LinkRx::take_ready`] releases
+    /// behind it, in order.
+    Deliver,
+    /// Parked in the SACK reorder window: nothing to deliver yet.
+    Parked,
+    /// Discarded (corrupt, duplicate, or past a gap): trace the drop.
+    Dropped,
 }
 
 /// Receive-side link-layer state for one input port: sequence
@@ -313,8 +334,40 @@ impl LinkRx {
         LinkRx::with_mode(params.mode, params.sack_window)
     }
 
+    /// Judges one arrived frame and says what to do with it and which
+    /// ack or nack, if any, its sender is owed (SACK bitmap filled in).
+    /// Send the reply before acting on the fate: one seeded stream decides
+    /// the reply's fault fate and that of any credit the delivery returns.
+    /// A port without a receiver runs no protocol: its frames are
+    /// `(RxFate::Deliver, None)`.
+    pub fn receive(&mut self, packet: &Packet) -> (RxFate, Option<CtrlMsg>) {
+        let verdict = self.accept(packet);
+        let sack = self.sack_bits();
+        let ack = |seq| Some(CtrlMsg::Ack { seq, sack });
+        let nack = |expected| Some(CtrlMsg::Nack { expected, sack });
+        match verdict {
+            RxVerdict::Accept { ack: seq } => (RxFate::Deliver, ack(seq)),
+            // A spurious retransmit of a parked frame: the missing base
+            // frame's ack will carry the bitmap.
+            RxVerdict::Held { dup: true, .. } => (RxFate::Dropped, None),
+            RxVerdict::Held {
+                ack: seq,
+                nack: true,
+                ..
+            } => (RxFate::Parked, nack(seq + 1)),
+            // Refresh the sender's view of the window with a duplicate
+            // cumulative ack and the grown bitmap.
+            RxVerdict::Held { ack: seq, .. } => (RxFate::Parked, ack(seq)),
+            RxVerdict::DupAck { ack: seq } => (RxFate::Dropped, ack(seq)),
+            RxVerdict::NackCorrupt { expected } | RxVerdict::NackGap { expected } => {
+                (RxFate::Dropped, nack(expected))
+            }
+            RxVerdict::Discard => (RxFate::Dropped, None),
+        }
+    }
+
     /// Judges one arrived frame.
-    pub fn accept(&mut self, packet: &Packet) -> RxVerdict {
+    fn accept(&mut self, packet: &Packet) -> RxVerdict {
         if !packet.checksum_ok() {
             self.corrupt += 1;
             // A corrupt frame's sequence number is untrustworthy; always
@@ -461,6 +514,106 @@ impl Default for LinkRx {
     }
 }
 
+/// What a received control frame leaves its component to do once
+/// [`receive_ctrl`] has applied the protocol's half of it.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum CtrlEffect {
+    /// The checksum failed: the frame was discarded unread. Count it.
+    Corrupt,
+    /// An ack or nack reached the transmit port, if there is one: pump
+    /// it.
+    Acked {
+        /// Set when a nack exhausted the retransmit budget.
+        dead: Option<LinkError>,
+    },
+    /// A resync reply reached the transmit port, if there is one: pump
+    /// it.
+    Synced {
+        /// The token of the handshake the reply completed, if it did.
+        resynced: Option<u64>,
+    },
+    /// A resync probe: send this reply back to the prober.
+    Reply(CtrlMsg),
+    /// A liveness beacon, for the component's failure detector.
+    Heartbeat {
+        /// The workstation that originated the beacon.
+        origin: NodeId,
+        /// The beacon's per-origin sequence number.
+        seq: u64,
+    },
+    /// A link-epoch reset, already applied to the receiver.
+    Reset,
+}
+
+/// Applies the protocol's half of a control frame that arrived on one
+/// port to that port's transmit and receive state (either may be
+/// absent), and returns what is left for the component to do. A frame
+/// failing its checksum is never acted on.
+pub fn receive_ctrl(
+    frame: &CtrlFrame,
+    tx: Option<&mut TxPort>,
+    rx: Option<&mut LinkRx>,
+    now: SimTime,
+) -> CtrlEffect {
+    if !frame.checksum_ok() {
+        return CtrlEffect::Corrupt;
+    }
+    match frame.msg {
+        CtrlMsg::Ack { seq, sack } => {
+            if let Some(tx) = tx {
+                tx.on_ack(seq, sack, now);
+            }
+            CtrlEffect::Acked { dead: None }
+        }
+        CtrlMsg::Nack { expected, sack } => CtrlEffect::Acked {
+            dead: match tx.map(|tx| tx.on_nack(expected, sack, now)) {
+                Some(TimerAction::Dead(err)) => Some(err),
+                _ => None,
+            },
+        },
+        // Resync replies are idempotent: the drain counter is monotone, so
+        // answering a retried (or duplicated) probe never double-credits.
+        CtrlMsg::SyncReq { token } => CtrlEffect::Reply(CtrlMsg::SyncAck {
+            token,
+            drained: rx.map_or(0, |rx| rx.drained()),
+        }),
+        CtrlMsg::SyncAck { token, drained } => CtrlEffect::Synced {
+            resynced: tx
+                .is_some_and(|tx| tx.on_sync_ack(token, drained, now))
+                .then_some(token),
+        },
+        CtrlMsg::Heartbeat { origin, seq } => CtrlEffect::Heartbeat { origin, seq },
+        // The neighbor started a fresh transmit epoch after an outage:
+        // reseat the expected sequence, flush the reorder window, and
+        // zero the drain counter for resync math.
+        CtrlMsg::Reset { next } => {
+            if let Some(rx) = rx {
+                rx.on_reset(next);
+            }
+            CtrlEffect::Reset
+        }
+    }
+}
+
+/// Seals `msg` for launch on `link`, consulting the fault injector when
+/// both are known: `None` when the injector drops the frame in flight. A
+/// frame it corrupts still launches; the receiver's checksum discards it.
+/// The caller chooses the destination and the delay.
+pub fn seal_ctrl(
+    msg: CtrlMsg,
+    injector: Option<&FaultInjector>,
+    link: Option<LinkId>,
+    now: SimTime,
+) -> Option<CtrlFrame> {
+    let mut frame = CtrlFrame::seal(msg);
+    if let (Some(inj), Some(link)) = (injector, link) {
+        if inj.ctrl_fate(link, now, &mut frame) == FrameFate::Drop {
+            return None;
+        }
+    }
+    Some(frame)
+}
+
 /// Credit bookkeeping of one transmit port, for quiescence-time
 /// conservation checks: once all FIFOs have drained, every credit is
 /// either in hand or riding an unacknowledged frame, so
@@ -541,7 +694,7 @@ impl fmt::Display for StalledLink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tg_wire::{NodeId, WireMsg};
+    use tg_wire::{TimingConfig, WireMsg};
 
     fn frame(seq: u64) -> Packet {
         let mut p = Packet::new(
@@ -553,6 +706,191 @@ mod tests {
         p.link_seq = seq;
         p.seal();
         p
+    }
+
+    fn corrupt(mut p: Packet) -> Packet {
+        p.checksum ^= 0x10;
+        p
+    }
+
+    /// (case, discipline, window, frames received before, arrival, fate,
+    /// reply, frames released behind a delivered arrival)
+    type RxCase = (
+        &'static str,
+        RetxMode,
+        u32,
+        &'static [u64],
+        Packet,
+        RxFate,
+        Option<CtrlMsg>,
+        &'static [u64],
+    );
+
+    #[test]
+    fn receive_decides_fate_and_reply() {
+        use RetxMode::{GoBackN, Sack};
+        use RxFate::{Deliver, Dropped, Parked};
+        let ack = |seq, sack| Some(CtrlMsg::Ack { seq, sack });
+        let nack = |expected, sack| Some(CtrlMsg::Nack { expected, sack });
+        #[rustfmt::skip]
+        let cases: [RxCase; 13] = [
+            ("gbn accept", GoBackN, 32, &[], frame(1), Deliver, ack(1, 0), &[]),
+            ("gbn duplicate", GoBackN, 32, &[1, 2], frame(1), Dropped, ack(2, 0), &[]),
+            ("gbn corrupt", GoBackN, 32, &[1], corrupt(frame(2)), Dropped, nack(2, 0), &[]),
+            ("gbn first gap nacks", GoBackN, 32, &[1], frame(3), Dropped, nack(2, 0), &[]),
+            ("gbn later gap is silent", GoBackN, 32, &[1, 3], frame(4), Dropped, None, &[]),
+            ("sack held, first nacks", Sack, 32, &[1], frame(3), Parked, nack(2, 0b10), &[]),
+            ("sack held, ack refresh", Sack, 32, &[1, 3], frame(5), Parked, ack(1, 0b1010), &[]),
+            ("sack held duplicate", Sack, 32, &[1, 3], frame(3), Dropped, None, &[]),
+            ("sack duplicate", Sack, 32, &[1, 2], frame(1), Dropped, ack(2, 0), &[]),
+            ("sack corrupt", Sack, 32, &[1, 3], corrupt(frame(4)), Dropped, nack(2, 0b10), &[]),
+            ("sack gap fill", Sack, 32, &[1, 3, 4], frame(2), Deliver, ack(4, 0), &[3, 4]),
+            ("sack overflow nacks", Sack, 2, &[1], frame(4), Dropped, nack(2, 0), &[]),
+            ("sack overflow, nack out", Sack, 2, &[1, 3], frame(4), Dropped, None, &[]),
+        ];
+        for (case, mode, window, before, arrival, fate, reply, released) in cases {
+            let mut rx = LinkRx::with_mode(mode, window);
+            for &seq in before {
+                rx.receive(&frame(seq));
+                rx.take_ready();
+            }
+            assert_eq!(rx.receive(&arrival), (fate, reply), "{case}");
+            let seqs: Vec<u64> = rx.take_ready().iter().map(|p| p.link_seq).collect();
+            assert_eq!(seqs, released, "{case}: released frames");
+        }
+    }
+
+    fn comp_id() -> tg_sim::CompId {
+        struct Noop;
+        impl tg_sim::Component<u32> for Noop {
+            fn on_event(&mut self, _: u32, _: &mut tg_sim::Ctx<'_, u32>) {}
+            fn name(&self) -> &str {
+                "noop"
+            }
+        }
+        tg_sim::Engine::<u32>::new().add(Noop)
+    }
+
+    /// Frames and launches `n` fresh frames at time zero.
+    fn send(tx: &mut TxPort, n: usize) {
+        for _ in 0..n {
+            let p = tx.frame(frame(0), SimTime::ZERO);
+            tx.launch(&p, &TimingConfig::telegraphos_i());
+            tx.on_free();
+        }
+    }
+
+    /// A reliable port (allowance 4) with frames 1 and 2 unacknowledged.
+    fn in_flight(max_retries: u32) -> TxPort {
+        let mut tx = TxPort::new(comp_id(), 0, 4);
+        tx.enable_reliability(RelParams {
+            max_retries,
+            ..RelParams::default()
+        });
+        send(&mut tx, 2);
+        tx
+    }
+
+    /// A reliable port whose frames were all acked but whose credits were
+    /// lost, with a resync probe out; returns the port and the probe's
+    /// token.
+    fn probing() -> (TxPort, u64) {
+        let mut tx = TxPort::new(comp_id(), 0, 2);
+        tx.enable_reliability(RelParams::default());
+        send(&mut tx, 2);
+        tx.on_ack(2, 0, SimTime::from_ns(400));
+        let at = SimTime::from_ns(500);
+        let (delay, gen) = tx.poll_timer(at).expect("missing credits arm a probe");
+        let TimerAction::Resync { token } = tx.on_timer(gen, at + delay) else {
+            panic!("expected a resync probe");
+        };
+        (tx, token)
+    }
+
+    /// (case, transmit port, message, corrupted in flight, effect, frames
+    /// still unacknowledged and credits in hand afterwards)
+    type CtrlCase = (
+        &'static str,
+        Option<TxPort>,
+        CtrlMsg,
+        bool,
+        CtrlEffect,
+        Option<(usize, u32)>,
+    );
+
+    #[test]
+    fn receive_ctrl_applies_each_message() {
+        use CtrlEffect::{Acked, Corrupt, Heartbeat, Reply, Reset, Synced};
+        let (probe, token) = probing();
+        let origin = NodeId::new(3);
+        let ack = CtrlMsg::Ack { seq: 1, sack: 0 };
+        let nack = CtrlMsg::Nack {
+            expected: 1,
+            sack: 0,
+        };
+        let sync_req = CtrlMsg::SyncReq { token: 7 };
+        let sync_ack = |token| CtrlMsg::SyncAck { token, drained: 2 };
+        let exhausted = LinkError::RetryExhausted {
+            retries: 0,
+            stranded: 2,
+        };
+        let reply = Reply(CtrlMsg::SyncAck {
+            token: 7,
+            drained: 3,
+        });
+        #[rustfmt::skip]
+        let cases: [CtrlCase; 13] = [
+            ("ack", Some(in_flight(16)), ack, false, Acked { dead: None }, Some((1, 2))),
+            ("nack", Some(in_flight(16)), nack, false, Acked { dead: None }, Some((2, 2))),
+            ("nack past the budget", Some(in_flight(0)), nack, false, Acked { dead: Some(exhausted) }, Some((2, 2))),
+            ("sync ack", Some(probe.clone()), sync_ack(token), false, Synced { resynced: Some(token) }, Some((0, 2))),
+            ("stale sync ack", Some(probe), sync_ack(token + 1), false, Synced { resynced: None }, Some((0, 0))),
+            ("sync req", Some(in_flight(16)), sync_req, false, reply, Some((2, 2))),
+            ("heartbeat", Some(in_flight(16)), CtrlMsg::Heartbeat { origin, seq: 5 }, false, Heartbeat { origin, seq: 5 }, Some((2, 2))),
+            ("reset", Some(in_flight(16)), CtrlMsg::Reset { next: 10 }, false, Reset, Some((2, 2))),
+            ("bad checksum", Some(in_flight(16)), ack, true, Corrupt, Some((2, 2))),
+            ("ack, no tx port", None, ack, false, Acked { dead: None }, None),
+            ("nack, no tx port", None, nack, false, Acked { dead: None }, None),
+            ("sync ack, no tx port", None, sync_ack(token), false, Synced { resynced: None }, None),
+            ("sync req, no tx port", None, sync_req, false, reply, None),
+        ];
+        for (case, mut tx, msg, corrupted, effect, after) in cases {
+            let mut rx = LinkRx::new();
+            for _ in 0..3 {
+                rx.on_drain();
+            }
+            let mut frame = CtrlFrame::seal(msg);
+            if corrupted {
+                frame.corrupt();
+            }
+            let now = SimTime::from_us(50);
+            assert_eq!(
+                receive_ctrl(&frame, tx.as_mut(), Some(&mut rx), now),
+                effect,
+                "{case}"
+            );
+            let state = tx.as_ref().map(|tx| (tx.unacked(), tx.credits()));
+            assert_eq!(state, after, "{case}: transmit port afterwards");
+            let reset = matches!(msg, CtrlMsg::Reset { .. });
+            assert_eq!(rx.drained(), if reset { 0 } else { 3 }, "{case}");
+        }
+        // A reset reseats the receive epoch; a receiver-less port answers a
+        // probe with nothing drained.
+        let mut rx = LinkRx::new();
+        let reset = CtrlFrame::seal(CtrlMsg::Reset { next: 10 });
+        assert_eq!(
+            receive_ctrl(&reset, None, Some(&mut rx), SimTime::ZERO),
+            Reset
+        );
+        assert_eq!(rx.receive(&frame(10)).0, RxFate::Deliver);
+        let probe = CtrlFrame::seal(sync_req);
+        assert_eq!(
+            receive_ctrl(&probe, None, None, SimTime::ZERO),
+            Reply(CtrlMsg::SyncAck {
+                token: 7,
+                drained: 0
+            })
+        );
     }
 
     #[test]

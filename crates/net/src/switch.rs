@@ -4,12 +4,15 @@ use std::collections::BTreeMap;
 
 use tg_sim::{Component, Ctx, SimTime};
 use tg_wire::trace::{PacketEvent, SharedProbe, Site, Stage, TraceId};
-use tg_wire::{CtrlFrame, CtrlMsg, NodeId, Packet, TimingConfig};
+use tg_wire::{CtrlMsg, NodeId, Packet, TimingConfig};
 
 use crate::detect::{HeartbeatDetector, Liveness};
 use crate::event::{NetEvent, NetMessage};
 use crate::fault::{FaultInjector, FrameFate, LinkId};
-use crate::link::{CreditLedger, LinkError, LinkRx, RelParams, RxVerdict, StalledLink};
+use crate::link::{
+    receive_ctrl, seal_ctrl, CreditLedger, CtrlEffect, LinkError, LinkRx, RelParams, RxFate,
+    StalledLink,
+};
 use crate::port::{PortSnapshot, RxFifo, TimerAction, TxPort};
 use crate::route::FabricView;
 use crate::topology::Vertex;
@@ -512,6 +515,22 @@ impl Switch {
         None
     }
 
+    /// Enqueues a delivered arrival on `in_port` and marks its routed
+    /// output as work (a no-op grant check if it queued behind others),
+    /// or blackholes it when no route survives.
+    fn admit<M: NetMessage>(&mut self, in_port: usize, packet: Packet, ctx: &mut Ctx<'_, M>) {
+        match self.route(&packet) {
+            Some(out) => {
+                self.emit(ctx.now(), &packet, Stage::SwitchEnqueue);
+                if let Err(err) = self.fifos[in_port].push(packet) {
+                    self.errors.push(err);
+                }
+                self.mark_pending(out as usize);
+            }
+            None => self.blackhole_one(in_port, &packet, ctx),
+        }
+    }
+
     /// Disposes of a packet with no surviving route: counted drop, drain
     /// bookkeeping, and the upstream credit returned — the slot it held
     /// must not leak just because its destination is partitioned away.
@@ -734,20 +753,15 @@ impl Switch {
 
     /// Seals and launches one control frame toward the neighbor on the
     /// link paired with `port`. Control frames are wire traffic like any
-    /// other: the injector may drop them outright (silent return) or
-    /// corrupt them in flight, in which case the receiver's checksum
-    /// check discards them.
+    /// other: the injector may drop or corrupt them ([`seal_ctrl`]).
     fn send_ctrl<M: NetMessage>(&mut self, port: usize, msg: CtrlMsg, ctx: &mut Ctx<'_, M>) {
         let (nbr, nbr_port, link) = {
             let p = self.out[port].as_ref().expect("paired port attached");
             (p.neighbor(), p.neighbor_port(), p.link())
         };
-        let mut frame = CtrlFrame::seal(msg);
-        if let (Some(inj), Some(link)) = (self.injector.as_ref(), link) {
-            if inj.ctrl_fate(link, ctx.now(), &mut frame) == FrameFate::Drop {
-                return;
-            }
-        }
+        let Some(frame) = seal_ctrl(msg, self.injector.as_ref(), link, ctx.now()) else {
+            return;
+        };
         ctx.send(
             nbr,
             self.timing.link_prop,
@@ -971,31 +985,17 @@ impl<M: NetMessage> Component<M> for Switch {
         match ev {
             NetEvent::Arrive { port, packet } => {
                 let in_port = port as usize;
-                let verdict = self
+                let (fate, reply) = self
                     .rx_links
                     .get_mut(in_port)
                     .and_then(Option::as_mut)
-                    .map(|rx| rx.accept(&packet));
-                match verdict {
-                    None | Some(RxVerdict::Accept { .. }) => {
-                        if let Some(RxVerdict::Accept { ack }) = verdict {
-                            let sack = self.rx_links[in_port].as_ref().map_or(0, LinkRx::sack_bits);
-                            self.send_ctrl(in_port, CtrlMsg::Ack { seq: ack, sack }, ctx);
-                        }
-                        // If the arrival became a FIFO head it is new work
-                        // for its routed output; if it queued behind others
-                        // the mark is a cheap no-op grant check. With no
-                        // surviving route it is blackholed instead.
-                        match self.route(&packet) {
-                            Some(out) => {
-                                self.emit(ctx.now(), &packet, Stage::SwitchEnqueue);
-                                if let Err(err) = self.fifos[in_port].push(packet) {
-                                    self.errors.push(err);
-                                }
-                                self.mark_pending(out as usize);
-                            }
-                            None => self.blackhole_one(in_port, &packet, ctx),
-                        }
+                    .map_or((RxFate::Deliver, None), |rx| rx.receive(&packet));
+                if let Some(msg) = reply {
+                    self.send_ctrl(in_port, msg, ctx);
+                }
+                match fate {
+                    RxFate::Deliver => {
+                        self.admit(in_port, packet, ctx);
                         // The arrival may have closed a reorder-window gap:
                         // deliver the released successors in sequence order.
                         // Credit accounting bounds FIFO + window occupancy
@@ -1005,58 +1005,12 @@ impl<M: NetMessage> Component<M> for Switch {
                             .map(LinkRx::take_ready)
                             .unwrap_or_default();
                         for p in released {
-                            match self.route(&p) {
-                                Some(out) => {
-                                    self.emit(ctx.now(), &p, Stage::SwitchEnqueue);
-                                    if let Err(err) = self.fifos[in_port].push(p) {
-                                        self.errors.push(err);
-                                    }
-                                    self.mark_pending(out as usize);
-                                }
-                                None => self.blackhole_one(in_port, &p, ctx),
-                            }
+                            self.admit(in_port, p, ctx);
                         }
                         self.pump(ctx);
                     }
-                    Some(RxVerdict::Held { ack, nack, dup }) => {
-                        if dup {
-                            // A spurious retransmit of an already-parked
-                            // frame: drop the copy silently (the sweep that
-                            // resent it leads with the missing base frame,
-                            // whose ack will carry the bitmap).
-                            self.emit(ctx.now(), &packet, Stage::Dropped);
-                        } else if nack {
-                            self.send_ctrl(
-                                in_port,
-                                CtrlMsg::Nack {
-                                    expected: ack + 1,
-                                    sack: self.rx_links[in_port]
-                                        .as_ref()
-                                        .map_or(0, LinkRx::sack_bits),
-                                },
-                                ctx,
-                            );
-                        } else {
-                            // Refresh the sender's view of the window with
-                            // a duplicate cumulative ack + grown bitmap.
-                            let sack = self.rx_links[in_port].as_ref().map_or(0, LinkRx::sack_bits);
-                            self.send_ctrl(in_port, CtrlMsg::Ack { seq: ack, sack }, ctx);
-                        }
-                    }
-                    Some(RxVerdict::DupAck { ack }) => {
-                        self.emit(ctx.now(), &packet, Stage::Dropped);
-                        let sack = self.rx_links[in_port].as_ref().map_or(0, LinkRx::sack_bits);
-                        self.send_ctrl(in_port, CtrlMsg::Ack { seq: ack, sack }, ctx);
-                    }
-                    Some(RxVerdict::NackCorrupt { expected })
-                    | Some(RxVerdict::NackGap { expected }) => {
-                        self.emit(ctx.now(), &packet, Stage::Dropped);
-                        let sack = self.rx_links[in_port].as_ref().map_or(0, LinkRx::sack_bits);
-                        self.send_ctrl(in_port, CtrlMsg::Nack { expected, sack }, ctx);
-                    }
-                    Some(RxVerdict::Discard) => {
-                        self.emit(ctx.now(), &packet, Stage::Dropped);
-                    }
+                    RxFate::Parked => {}
+                    RxFate::Dropped => self.emit(ctx.now(), &packet, Stage::Dropped),
                 }
             }
             NetEvent::Credit { port } => {
@@ -1079,78 +1033,38 @@ impl<M: NetMessage> Component<M> for Switch {
                 self.pump(ctx);
             }
             NetEvent::Ctrl { port, frame } => {
-                if !frame.checksum_ok() {
-                    self.ctrl_discards += 1;
-                    return;
-                }
-                match frame.msg {
-                    CtrlMsg::Ack { seq, sack } => {
-                        if let Some(tx) = self.out.get_mut(port as usize).and_then(Option::as_mut) {
-                            tx.on_ack(seq, sack, ctx.now());
-                            self.mark_pending(port as usize);
+                let port = port as usize;
+                let tx = self.out.get_mut(port).and_then(Option::as_mut);
+                let attached = tx.is_some();
+                let rx = self.rx_links.get_mut(port).and_then(Option::as_mut);
+                match receive_ctrl(&frame, tx, rx, ctx.now()) {
+                    CtrlEffect::Corrupt => self.ctrl_discards += 1,
+                    CtrlEffect::Acked { dead } => {
+                        if let Some(err) = dead {
+                            self.on_link_dead(port, err, ctx);
+                        }
+                        if attached {
+                            self.mark_pending(port);
                         }
                         self.pump(ctx);
                     }
-                    CtrlMsg::Nack { expected, sack } => {
-                        let action = self
-                            .out
-                            .get_mut(port as usize)
-                            .and_then(Option::as_mut)
-                            .map(|tx| tx.on_nack(expected, sack, ctx.now()));
-                        if let Some(TimerAction::Dead(err)) = action {
-                            self.on_link_dead(port as usize, err, ctx);
+                    CtrlEffect::Synced { resynced } => {
+                        // Mirror the HIB: a completed handshake is traced
+                        // too, so collectors can reconcile traced resync
+                        // events against probe + completion counters.
+                        if let Some(token) = resynced {
+                            self.emit_resync(ctx.now(), token);
                         }
-                        if action.is_some() {
-                            self.mark_pending(port as usize);
+                        if attached {
+                            self.mark_pending(port);
                         }
                         self.pump(ctx);
                     }
-                    CtrlMsg::SyncReq { token } => {
-                        // Resync replies are idempotent: the drain counter
-                        // is monotone, so answering a retried (or
-                        // duplicated) probe never double-credits.
-                        let drained = self
-                            .rx_links
-                            .get(port as usize)
-                            .and_then(Option::as_ref)
-                            .map(LinkRx::drained)
-                            .unwrap_or(0);
-                        self.send_ctrl(port as usize, CtrlMsg::SyncAck { token, drained }, ctx);
+                    CtrlEffect::Reply(msg) => self.send_ctrl(port, msg, ctx),
+                    CtrlEffect::Heartbeat { origin, seq } => {
+                        self.on_heartbeat(port, origin, seq, ctx);
                     }
-                    CtrlMsg::SyncAck { token, drained } => {
-                        let applied = self
-                            .out
-                            .get_mut(port as usize)
-                            .and_then(Option::as_mut)
-                            .map(|tx| tx.on_sync_ack(token, drained, ctx.now()));
-                        if let Some(applied) = applied {
-                            if applied {
-                                // Mirror the HIB: a completed handshake is
-                                // traced too, so collectors can reconcile
-                                // traced resync events against probe +
-                                // completion counters.
-                                self.emit_resync(ctx.now(), token);
-                            }
-                            self.mark_pending(port as usize);
-                        }
-                        self.pump(ctx);
-                    }
-                    CtrlMsg::Heartbeat { origin, seq } => {
-                        self.on_heartbeat(port as usize, origin, seq, ctx);
-                    }
-                    CtrlMsg::Reset { next } => {
-                        // The neighbor's transmit side started a fresh
-                        // epoch after our revival: reseat the expected
-                        // sequence, flush the reorder window (counted),
-                        // and zero the drain counter for resync math.
-                        if let Some(rx) = self
-                            .rx_links
-                            .get_mut(port as usize)
-                            .and_then(Option::as_mut)
-                        {
-                            rx.on_reset(next);
-                        }
-                    }
+                    CtrlEffect::Reset => {}
                 }
             }
             NetEvent::RetxTimer { port, gen } => {

@@ -14,11 +14,11 @@
 use std::collections::VecDeque;
 
 use tg_sim::{Component, Ctx, SimTime};
-use tg_wire::{CtrlFrame, CtrlMsg, NodeId, Packet, TimingConfig, WireMsg};
+use tg_wire::{CtrlMsg, NodeId, Packet, TimingConfig, WireMsg};
 
 use crate::event::NetEvent;
 use crate::fault::{FaultInjector, FrameFate};
-use crate::link::{LinkError, LinkRx, RxVerdict};
+use crate::link::{receive_ctrl, seal_ctrl, CtrlEffect, LinkError, LinkRx, RxFate};
 use crate::port::{TimerAction, TxPort};
 
 /// A packet receipt recorded by a [`SourceSink`].
@@ -245,12 +245,9 @@ impl SourceSink {
     fn send_ctrl(&mut self, msg: CtrlMsg, delay: SimTime, ctx: &mut Ctx<'_, NetEvent>) {
         let (up, port) = self.rx_upstream.expect("wired endpoint");
         let link = self.tx.as_ref().and_then(TxPort::link);
-        let mut frame = CtrlFrame::seal(msg);
-        if let (Some(inj), Some(link)) = (self.injector.as_ref(), link) {
-            if inj.ctrl_fate(link, ctx.now(), &mut frame) == FrameFate::Drop {
-                return;
-            }
-        }
+        let Some(frame) = seal_ctrl(msg, self.injector.as_ref(), link, ctx.now()) else {
+            return;
+        };
         ctx.send(up, delay, NetEvent::Ctrl { port, frame });
     }
 
@@ -272,64 +269,27 @@ impl Component<NetEvent> for SourceSink {
     fn on_event(&mut self, ev: NetEvent, ctx: &mut Ctx<'_, NetEvent>) {
         match ev {
             NetEvent::Arrive { packet, .. } => {
-                let verdict = self.rx_link.as_mut().map(|rx| rx.accept(&packet));
-                match verdict {
-                    None => self.consume(packet, ctx),
-                    Some(RxVerdict::Accept { ack }) => {
-                        let sack = self.rx_link.as_ref().map_or(0, LinkRx::sack_bits);
-                        self.send_ctrl(CtrlMsg::Ack { seq: ack, sack }, self.timing.link_prop, ctx);
-                        // The sink consumes immediately for protocol
-                        // purposes; the drain counter feeds resync.
-                        self.consume(packet, ctx);
-                        // The arrival may have closed a reorder-window
-                        // gap: consume the released successors in order.
-                        let released = self
-                            .rx_link
-                            .as_mut()
-                            .map(LinkRx::take_ready)
-                            .unwrap_or_default();
-                        for p in released {
-                            self.consume(p, ctx);
-                        }
+                let (fate, reply) = self
+                    .rx_link
+                    .as_mut()
+                    .map_or((RxFate::Deliver, None), |rx| rx.receive(&packet));
+                if let Some(msg) = reply {
+                    self.send_ctrl(msg, self.timing.link_prop, ctx);
+                }
+                if fate == RxFate::Deliver {
+                    // The sink consumes immediately for protocol purposes;
+                    // the drain counter feeds resync. The arrival may have
+                    // closed a reorder-window gap: consume the released
+                    // successors in order.
+                    self.consume(packet, ctx);
+                    let released = self
+                        .rx_link
+                        .as_mut()
+                        .map(LinkRx::take_ready)
+                        .unwrap_or_default();
+                    for p in released {
+                        self.consume(p, ctx);
                     }
-                    Some(RxVerdict::Held { ack, nack, dup }) => {
-                        if dup {
-                            // Spurious retransmit of a parked frame;
-                            // nothing to report (the missing base frame's
-                            // ack will carry the bitmap).
-                        } else if nack {
-                            let sack = self.rx_link.as_ref().map_or(0, LinkRx::sack_bits);
-                            self.send_ctrl(
-                                CtrlMsg::Nack {
-                                    expected: ack + 1,
-                                    sack,
-                                },
-                                self.timing.link_prop,
-                                ctx,
-                            );
-                        } else {
-                            let sack = self.rx_link.as_ref().map_or(0, LinkRx::sack_bits);
-                            self.send_ctrl(
-                                CtrlMsg::Ack { seq: ack, sack },
-                                self.timing.link_prop,
-                                ctx,
-                            );
-                        }
-                    }
-                    Some(RxVerdict::DupAck { ack }) => {
-                        let sack = self.rx_link.as_ref().map_or(0, LinkRx::sack_bits);
-                        self.send_ctrl(CtrlMsg::Ack { seq: ack, sack }, self.timing.link_prop, ctx);
-                    }
-                    Some(RxVerdict::NackCorrupt { expected })
-                    | Some(RxVerdict::NackGap { expected }) => {
-                        let sack = self.rx_link.as_ref().map_or(0, LinkRx::sack_bits);
-                        self.send_ctrl(
-                            CtrlMsg::Nack { expected, sack },
-                            self.timing.link_prop,
-                            ctx,
-                        );
-                    }
-                    Some(RxVerdict::Discard) => {}
                 }
             }
             NetEvent::Credit { .. } => {
@@ -347,53 +307,25 @@ impl Component<NetEvent> for SourceSink {
                 self.pump(ctx);
             }
             NetEvent::Ctrl { frame, .. } => {
-                if !frame.checksum_ok() {
-                    self.ctrl_discards += 1;
-                    return;
-                }
-                match frame.msg {
-                    CtrlMsg::Ack { seq, sack } => {
-                        if let Some(tx) = self.tx.as_mut() {
-                            tx.on_ack(seq, sack, ctx.now());
-                        }
-                        self.pump(ctx);
-                    }
-                    CtrlMsg::Nack { expected, sack } => {
-                        if let Some(TimerAction::Dead(err)) = self
-                            .tx
-                            .as_mut()
-                            .map(|tx| tx.on_nack(expected, sack, ctx.now()))
-                        {
+                let (tx, rx) = (self.tx.as_mut(), self.rx_link.as_mut());
+                match receive_ctrl(&frame, tx, rx, ctx.now()) {
+                    CtrlEffect::Corrupt => self.ctrl_discards += 1,
+                    CtrlEffect::Acked { dead } => {
+                        if let Some(err) = dead {
                             self.errors.push(err);
                         }
                         self.pump(ctx);
                     }
-                    CtrlMsg::SyncReq { token } => {
-                        let drained = self.rx_link.as_ref().map(LinkRx::drained).unwrap_or(0);
-                        // The reply travels with the same latency as credit
-                        // returns, so it can never overtake a credit
-                        // already in flight (which the drain count
-                        // includes).
-                        self.send_ctrl(
-                            CtrlMsg::SyncAck { token, drained },
-                            self.consume_delay + self.timing.link_prop,
-                            ctx,
-                        );
-                    }
-                    CtrlMsg::SyncAck { token, drained } => {
-                        if let Some(tx) = self.tx.as_mut() {
-                            tx.on_sync_ack(token, drained, ctx.now());
-                        }
-                        self.pump(ctx);
+                    CtrlEffect::Synced { .. } => self.pump(ctx),
+                    // The reply travels with the same latency as credit
+                    // returns, so it can never overtake a credit already
+                    // in flight (which the drain count includes).
+                    CtrlEffect::Reply(msg) => {
+                        self.send_ctrl(msg, self.consume_delay + self.timing.link_prop, ctx);
                     }
                     // Test endpoints run no failure detector: beacons
                     // flooding past are sunk silently.
-                    CtrlMsg::Heartbeat { .. } => {}
-                    CtrlMsg::Reset { next } => {
-                        if let Some(rx) = self.rx_link.as_mut() {
-                            rx.on_reset(next);
-                        }
-                    }
+                    CtrlEffect::Heartbeat { .. } | CtrlEffect::Reset => {}
                 }
             }
             NetEvent::RetxTimer { gen, .. } => {
