@@ -18,9 +18,9 @@
 //!   `Cluster::run_sampled` into per-link usage summaries and a top-K
 //!   "hottest links" report that names the saturated hop.
 //! * [`report`] / [`gate`] — the **`tg-report-v2` JSON schema** shared by
-//!   `simbench`, `simfault` and `simreport`, and the CI perf-regression
-//!   gate that diffs a current report against a committed baseline with
-//!   per-metric, direction-aware tolerances.
+//!   `simbench`, `simfault`, `simkv` and `simreport`, and the CI
+//!   regression gate that diffs a current report against a committed
+//!   baseline at zero tolerance (a lower-better metric may only fall).
 //!
 //! Everything here is std-only, like the rest of the workspace: the JSON
 //! reader/writer in [`report`] is a small recursive-descent parser, not a
@@ -39,5 +39,5 @@ pub use attrib::{
     AttributedSegment, OpAttribution, SegClass,
 };
 pub use congestion::{hottest_links, link_usage, LinkUsage};
-pub use gate::{gate_reports, Direction, GateFailure, GateResult, Tolerances};
-pub use report::{flatten, scale_matching, schema_accepted, Json, SCHEMA, SCHEMA_V1};
+pub use gate::{gate_reports, Direction, GateFailure, GateResult};
+pub use report::{flatten, Json, SCHEMA};

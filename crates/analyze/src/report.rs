@@ -18,7 +18,7 @@
 //!
 //! All numeric leaves are gateable; [`flatten`] turns a report into
 //! dotted `(path, value)` pairs (`latency.remote-write.p99_ns`) for the
-//! tolerance diff in [`crate::gate`].
+//! exact diff in [`crate::gate`].
 //!
 //! [`Json`] is a deliberately small value model: parse with
 //! [`Json::parse`], render with [`Json::to_string_pretty`]. Object key
@@ -28,21 +28,10 @@
 
 use std::fmt::Write as _;
 
-/// Version tag every report carries in its `schema` field. v2 added
-/// `p999_us`/`p999_ns` fields to the latency and recovery summaries; the
-/// field set is otherwise a superset of v1, so readers accept both (see
-/// [`schema_accepted`]).
+/// Version tag every report carries; readers refuse any other. v2
+/// added `p999_us`/`p999_ns` fields to the latency and recovery
+/// summaries.
 pub const SCHEMA: &str = "tg-report-v2";
-
-/// The previous schema tag, still accepted by readers: a v1 report is a
-/// v2 report minus the p999 fields, and the gate treats current-only
-/// metrics as informational rather than failures.
-pub const SCHEMA_V1: &str = "tg-report-v1";
-
-/// Whether `tag` names a report schema this crate's readers understand.
-pub fn schema_accepted(tag: &str) -> bool {
-    tag == SCHEMA || tag == SCHEMA_V1
-}
 
 /// A JSON value. Objects preserve insertion order.
 #[derive(Clone, Debug, PartialEq)]
@@ -129,9 +118,9 @@ impl Json {
 
 /// Flattens every numeric leaf into dotted `(path, value)` pairs, in
 /// document order. Array elements use their `"name"` / `"link"` member
-/// as the path component when present (so `BENCH_engine.json`'s
-/// measurement list flattens to `ping_pong.events_per_sec`, …), else
-/// their index.
+/// as the path component when present (so a `hottest_links` entry
+/// flattens to `hottest_links.switch0-node5.stall_us`, …), else their
+/// index.
 pub fn flatten(value: &Json) -> Vec<(String, f64)> {
     let mut out = Vec::new();
     walk(value, String::new(), &mut out);
@@ -167,44 +156,6 @@ fn walk(value: &Json, prefix: String, out: &mut Vec<(String, f64)>) {
         }
         _ => {}
     }
-}
-
-/// Multiplies every numeric leaf whose flattened path contains `pattern`
-/// by `factor`, returning how many leaves changed. This is the synthetic
-/// regression injector behind `simreport degrade` — the negative test
-/// that proves the CI gate actually fires.
-pub fn scale_matching(value: &mut Json, pattern: &str, factor: f64) -> usize {
-    fn go(value: &mut Json, prefix: String, pattern: &str, factor: f64) -> usize {
-        match value {
-            Json::Num(n) if prefix.contains(pattern) => {
-                *n *= factor;
-                1
-            }
-            Json::Num(_) => 0,
-            Json::Obj(entries) => {
-                let mut changed = 0;
-                for (k, v) in entries.iter_mut() {
-                    changed += go(v, join(&prefix, k), pattern, factor);
-                }
-                changed
-            }
-            Json::Arr(items) => {
-                let mut changed = 0;
-                for (i, item) in items.iter_mut().enumerate() {
-                    let label = item
-                        .get("name")
-                        .or_else(|| item.get("link"))
-                        .and_then(Json::as_str)
-                        .map(str::to_string)
-                        .unwrap_or_else(|| i.to_string());
-                    changed += go(item, join(&prefix, &label), pattern, factor);
-                }
-                changed
-            }
-            _ => 0,
-        }
-    }
-    go(value, String::new(), pattern, factor)
 }
 
 // ---- parsing ---------------------------------------------------------
@@ -473,21 +424,6 @@ mod tests {
                 ("stencil_16.events_per_sec".to_string(), 7.0),
             ]
         );
-    }
-
-    #[test]
-    fn scale_matching_hits_only_matching_paths() {
-        let mut v = Json::parse(
-            r#"[{"name": "bench", "events_per_sec": 1000, "events": 50},
-                {"name": "other", "events_per_sec": 10}]"#,
-        )
-        .unwrap();
-        let changed = scale_matching(&mut v, "bench.events_per_sec", 0.9);
-        assert_eq!(changed, 1);
-        let flat = flatten(&v);
-        assert_eq!(flat[0], ("bench.events_per_sec".to_string(), 900.0));
-        assert_eq!(flat[1], ("bench.events".to_string(), 50.0));
-        assert_eq!(flat[2], ("other.events_per_sec".to_string(), 10.0));
     }
 
     #[test]

@@ -1190,9 +1190,8 @@ impl Cluster {
     }
 
     /// Event-engine run counters (delivered/scheduled totals, queue
-    /// high-water mark, wall time) — the simulator-throughput side of an
-    /// experiment. `events_per_wall_second()` on the result reports
-    /// simulator speed.
+    /// high-water mark): the simulator's deterministic event cost for an
+    /// experiment. Wall time is perfbench's to measure.
     pub fn engine_stats(&self) -> tg_sim::EngineStats {
         self.engine.stats()
     }

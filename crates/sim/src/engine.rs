@@ -2,7 +2,6 @@
 
 use std::any::Any;
 use std::fmt;
-use std::time::Instant;
 
 use crate::heap::Entry;
 use crate::queue::{EventQueue, Popped, QueueKind};
@@ -136,8 +135,8 @@ pub enum WatchdogOutcome {
     },
 }
 
-/// Counters describing an engine run; useful for detecting livelock in
-/// tests and for reporting simulator throughput in benches.
+/// Deterministic counters describing an engine run: useful for detecting
+/// livelock in tests and for reporting the simulator's event cost.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct EngineStats {
     /// Total events delivered since construction.
@@ -147,24 +146,8 @@ pub struct EngineStats {
     /// High-water mark of *pending events* — entries in the queue plus
     /// any same-instant batch popped but not yet delivered. Counting
     /// events (never queue-internal structures such as calendar buckets)
-    /// keeps the datapoint comparable across queue implementations and
-    /// across `BENCH_engine.json` history.
+    /// keeps the datapoint comparable across queue implementations.
     pub max_queue_len: usize,
-    /// Wall-clock nanoseconds spent inside `run`/`run_until`/`run_events`
-    /// since construction (individual `step` calls are not timed).
-    pub wall_nanos: u64,
-}
-
-impl EngineStats {
-    /// Delivered events per wall-clock second across all timed runs; 0.0
-    /// before any timed run has completed.
-    pub fn events_per_wall_second(&self) -> f64 {
-        if self.wall_nanos == 0 {
-            0.0
-        } else {
-            self.events_delivered as f64 / (self.wall_nanos as f64 * 1e-9)
-        }
-    }
 }
 
 /// Per-component delivery counters, indexed by [`CompId`].
@@ -417,7 +400,6 @@ impl<M: 'static> Engine<M> {
     /// unchanged, so a later run resumes in the identical order.
     pub fn run_until(&mut self, deadline: SimTime) -> RunLimit {
         self.halt = false;
-        let t0 = Instant::now();
         let mut batch = std::mem::take(&mut self.batch);
         let limit = loop {
             let first = match self.queue.pop_ready(deadline, &mut batch) {
@@ -462,7 +444,6 @@ impl<M: 'static> Engine<M> {
             }
         };
         self.batch = batch;
-        self.stats.wall_nanos += t0.elapsed().as_nanos() as u64;
         limit
     }
 
@@ -470,7 +451,6 @@ impl<M: 'static> Engine<M> {
     /// component protocols in tests.
     pub fn run_events(&mut self, budget: u64) -> RunLimit {
         self.halt = false;
-        let t0 = Instant::now();
         let mut limit = RunLimit::EventBudget;
         for _ in 0..budget {
             if !self.step() {
@@ -482,7 +462,6 @@ impl<M: 'static> Engine<M> {
                 break;
             }
         }
-        self.stats.wall_nanos += t0.elapsed().as_nanos() as u64;
         limit
     }
 
@@ -863,21 +842,6 @@ mod tests {
         assert_eq!(named.len(), 2);
         assert_eq!(named[0].0, "recorder");
         assert_eq!(named[0].1.delivered, 3);
-    }
-
-    #[test]
-    fn wall_time_accumulates_and_rate_is_finite() {
-        let mut eng: Engine<u32> = Engine::new();
-        let r = eng.add(Recorder { seen: Vec::new() });
-        for i in 0..100u32 {
-            eng.schedule(SimTime::from_ns(u64::from(i)), r, i);
-        }
-        assert_eq!(eng.stats().events_per_wall_second(), 0.0);
-        eng.run();
-        let s = eng.stats();
-        assert!(s.wall_nanos > 0);
-        assert!(s.events_per_wall_second() > 0.0);
-        assert!(s.events_per_wall_second().is_finite());
     }
 
     /// The clock can only go backwards through a bug (`step`'s guard is a

@@ -178,7 +178,10 @@ struct Gauge {
     max: f64,
 }
 
-/// The registry. See the [module docs](self) for the model.
+/// The registry: counters, gauges and change-point time series, each
+/// named once and then updated through a cheap integer id
+/// ([`CounterId`], [`GaugeId`], [`SeriesId`]). Iteration follows
+/// registration order.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     counter_names: Vec<Box<str>>,

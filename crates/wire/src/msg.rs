@@ -338,10 +338,10 @@ impl Packet {
 }
 
 /// A minimal FNV-1a [`Hasher`]: one multiply and xor per byte (per word
-/// for `u64` input), no per-hash key setup. It is the frame checksum, shared
-/// with the control-frame checksum in [`crate::ctrl`] so both frame classes
-/// use the same CRC model, and the map hasher for keys the simulator makes
-/// itself, such as [`TraceId`](crate::TraceId)s. It resists no crafted
+/// for `u64` input), no per-hash key setup. It is the frame checksum,
+/// shared with the checksum of [`CtrlFrame`](crate::CtrlFrame) so both
+/// frame classes use the same CRC model, and the map hasher for keys the
+/// simulator makes itself, such as [`TraceId`](crate::TraceId)s. It resists no crafted
 /// collisions: keep the default hasher for keys from outside the program.
 #[derive(Debug)]
 pub struct Fnv1a(u64);

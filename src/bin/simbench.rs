@@ -1,42 +1,34 @@
-//! `simbench` — the engine performance harness.
+//! `simbench` — the simulator's deterministic cost counters.
 //!
-//! Drives four representative workloads through the simulator and writes
-//! `BENCH_engine.json` with events/sec, wall time and peak queue depth for
-//! each, establishing the repository's perf trajectory:
+//! Runs six representative workloads once each and writes a
+//! `tg-report-v2` `report_bench.json` whose `metrics` hold, per workload,
+//! the events delivered (`<w>.events`) and the deepest pending-event count
+//! (`<w>.peak_queue_depth`). Both are exact for a given build, so CI gates
+//! them at zero tolerance against `baselines/report_bench.json`; the
+//! simulator's wall time is measured by perfbench, not here.
 //!
 //! 1. `ping_pong` — a two-component event-engine microbench (pure
-//!    scheduler hot path, queue depth ~1).
-//! 2. `ping_pong_hooked` — the same microbench with a delivery hook
-//!    installed, tracking the per-event cost of observability.
-//! 3. `ping_pong_net` — a bidirectional two-endpoint stream through a
+//!    scheduler hot path, queue depth 1).
+//! 2. `ping_pong_net` — a bidirectional two-endpoint stream through a
 //!    star fabric (switch routing + credit flow control, no link-level
 //!    reliability).
-//! 4. `ping_pong_reliable` — the same fabric stream with the link-level
+//! 3. `ping_pong_reliable` — the same fabric stream with the link-level
 //!    reliability protocol on (framing, checksums, per-link sequence
-//!    numbers, acks). Compare events/sec against `ping_pong_net` for the
-//!    per-event cost of the reliability layer, which must stay small.
-//! 5. `stencil_16` — a 16-node Jacobi stencil over eager-update boundary
+//!    numbers, acks). Its event count against `ping_pong_net` is the
+//!    reliability layer's event cost.
+//! 4. `stencil_16` — a 16-node Jacobi stencil over eager-update boundary
 //!    pages via `tg-workloads` (full cluster stack, deep queues).
-//! 6. `stencil_16_traced` — the same stencil with packet tracing and
-//!    metric sampling enabled: the analysis-ON cost. The plain
-//!    `stencil_16` number is the analysis-OFF datapoint — the attribution
-//!    machinery is probe-gated, so its hot-path cost with analysis off
-//!    must stay ~0 (compare against the previous baseline).
-//! 7. `proto_sweep` — a coherence-interleaving sweep of the owner
-//!    protocol via `tg-proto` (adversarial RNG-driven delivery).
+//! 5. `stencil_16_traced` — the same stencil with packet tracing and
+//!    metric sampling enabled. Its counts must equal `stencil_16`'s:
+//!    observation must not change the event stream.
+//! 6. `proto_sweep` — a coherence-interleaving sweep of the owner
+//!    protocol via `tg-proto` (adversarial RNG-driven delivery); counts
+//!    protocol messages and peak messages in flight.
 //!
-//! Besides `BENCH_engine.json`, a `tg-report-v2` `report_bench.json` is
-//! written for the CI perf gate: deterministic structural counts
-//! (`events`, `peak_queue_depth`) under `metrics` (gate tolerance 0) and
-//! machine-dependent wall-clock numbers under `throughput` (gated
-//! loosely or skipped).
-//!
-//! Deliberately dependency-free (plain `std::time::Instant`, hand-rolled
-//! JSON) so it runs in offline/vendored environments. Each workload is run
-//! a few times and the best wall time is reported.
+//! Every workload asserts its own correctness, so the counters cannot
+//! describe a broken run.
 
 use std::process::ExitCode;
-use std::time::Instant;
 
 use telegraphos_suite::cli;
 use telegraphos_suite::harness::{self, HarnessOptions};
@@ -46,53 +38,6 @@ use tg_net::{build_network_with, NetConfig, RelParams, Topology};
 use tg_proto::{owner::OwnerSerialized, Scenario};
 use tg_sim::{Component, Ctx, Engine, MetricsRegistry, SimTime};
 use tg_wire::{GOffset, NodeId, TimingConfig, WireMsg};
-
-/// One measured workload.
-struct Measurement {
-    name: &'static str,
-    /// Events (or protocol messages) delivered in one run.
-    events: u64,
-    /// Best wall time over the repetitions, seconds.
-    wall_seconds: f64,
-    /// Deepest pending-event count observed (events, not queue buckets;
-    /// includes same-instant batches in flight — see
-    /// `EngineStats::max_queue_len`).
-    peak_queue_depth: u64,
-}
-
-impl Measurement {
-    fn events_per_sec(&self) -> f64 {
-        if self.wall_seconds > 0.0 {
-            self.events as f64 / self.wall_seconds
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Runs `f` `reps` times, keeping the best wall time; `f` returns
-/// `(events, peak_queue_depth)` for the run it performed.
-fn measure(name: &'static str, reps: u32, mut f: impl FnMut() -> (u64, u64)) -> Measurement {
-    let mut best = f64::INFINITY;
-    let (mut events, mut peak) = (0, 0);
-    for rep in 0..reps {
-        let t0 = Instant::now();
-        let (ev, pk) = f();
-        let dt = t0.elapsed().as_secs_f64();
-        eprintln!("  {name} rep {rep}: {dt:.3}s");
-        if dt < best {
-            best = dt;
-        }
-        events = ev;
-        peak = pk;
-    }
-    Measurement {
-        name,
-        events,
-        wall_seconds: best,
-        peak_queue_depth: peak,
-    }
-}
 
 // ---------------------------------------------------------------- ping-pong
 
@@ -117,18 +62,6 @@ impl Component<u64> for Relay {
 /// Two relays bouncing one event back and forth: the pure scheduler hot
 /// path — pop, deliver, push — with no payload work.
 fn ping_pong() -> (u64, u64) {
-    ping_pong_inner(false)
-}
-
-/// The same microbench with a delivery hook installed (the tracing
-/// fast path): quantifies the per-event cost of observability when a
-/// probe is actually attached. Compare against `ping_pong` for the
-/// hook-off overhead (which should be ~zero: one untaken branch).
-fn ping_pong_hooked() -> (u64, u64) {
-    ping_pong_inner(true)
-}
-
-fn ping_pong_inner(hooked: bool) -> (u64, u64) {
     const ROUNDS: u64 = 1_000_000;
     let mut eng: Engine<u64> = Engine::new();
     let a = eng.add(Relay {
@@ -141,16 +74,8 @@ fn ping_pong_inner(hooked: bool) -> (u64, u64) {
     });
     eng.get_mut::<Relay>(a).unwrap().peer = Some(b);
     eng.schedule(SimTime::ZERO, a, 0);
-    let hits = std::rc::Rc::new(std::cell::Cell::new(0u64));
-    if hooked {
-        let h = hits.clone();
-        eng.set_delivery_hook(Box::new(move |_at, _seq, _dst| h.set(h.get() + 1)));
-    }
     eng.run();
     let s = eng.stats();
-    if hooked {
-        assert_eq!(hits.get(), s.events_delivered, "hook missed deliveries");
-    }
     (s.events_delivered, s.max_queue_len as u64)
 }
 
@@ -165,8 +90,8 @@ fn ping_pong_net() -> (u64, u64) {
 
 /// The same fabric stream with the link-level reliability protocol on
 /// every hop: framing, checksums, per-link sequence numbers and acks.
-/// The events/sec gap against `ping_pong_net` is the per-event cost of
-/// the reliability layer on a lossless fabric.
+/// The event gap against `ping_pong_net` is the reliability layer's
+/// event cost on a lossless fabric.
 fn ping_pong_reliable() -> (u64, u64) {
     ping_pong_net_inner(true)
 }
@@ -229,9 +154,8 @@ fn stencil_16() -> (u64, u64) {
 
 /// The same stencil with the full analysis pipeline attached: packet
 /// tracing probes installed cluster-wide and the congestion sampler
-/// running at 1 µs. The gap against `stencil_16` is the analysis-ON
-/// cost; `stencil_16` itself, unchanged across this feature, is the
-/// proof that analysis-off stays free.
+/// running at 1 µs. Observation schedules no events of its own, so its
+/// counts must equal `stencil_16`'s.
 fn stencil_16_traced() -> (u64, u64) {
     stencil_16_inner(true)
 }
@@ -280,93 +204,32 @@ fn proto_sweep() -> (u64, u64) {
 
 // ------------------------------------------------------------------- main
 
-fn json_escape_free(name: &str) -> &str {
-    debug_assert!(name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_'));
-    name
-}
+/// One workload run: `(events, peak_queue_depth)`.
+type Workload = fn() -> (u64, u64);
 
 fn main() -> ExitCode {
-    let measurements = [
-        measure("ping_pong", 5, ping_pong),
-        measure("ping_pong_hooked", 5, ping_pong_hooked),
-        measure("ping_pong_net", 5, ping_pong_net),
-        measure("ping_pong_reliable", 5, ping_pong_reliable),
-        measure("stencil_16", 5, stencil_16),
-        measure("stencil_16_traced", 3, stencil_16_traced),
-        measure("proto_sweep", 3, proto_sweep),
+    let workloads: [(&str, Workload); 6] = [
+        ("ping_pong", ping_pong),
+        ("ping_pong_net", ping_pong_net),
+        ("ping_pong_reliable", ping_pong_reliable),
+        ("stencil_16", stencil_16),
+        ("stencil_16_traced", stencil_16_traced),
+        ("proto_sweep", proto_sweep),
     ];
-
-    let mut json = String::from("{\n  \"bench\": \"engine\",\n  \"workloads\": [\n");
-    for (i, m) in measurements.iter().enumerate() {
-        println!(
-            "{:<18} {:>9} events  {:>9.4}s  {:>12.0} events/s  peak queue {}",
-            m.name,
-            m.events,
-            m.wall_seconds,
-            m.events_per_sec(),
-            m.peak_queue_depth
-        );
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"events\": {}, \"wall_seconds\": {:.6}, \
-             \"events_per_sec\": {:.1}, \"peak_queue_depth\": {}}}{}\n",
-            json_escape_free(m.name),
-            m.events,
-            m.wall_seconds,
-            m.events_per_sec(),
-            m.peak_queue_depth,
-            if i + 1 < measurements.len() { "," } else { "" }
-        ));
+    let mut metrics = Json::obj();
+    for (name, run) in workloads {
+        let (events, peak) = run();
+        println!("{name:<18} {events:>9} events  peak queue {peak}");
+        metrics.set(&format!("{name}.events"), Json::Num(events as f64));
+        metrics.set(&format!("{name}.peak_queue_depth"), Json::Num(peak as f64));
     }
-    json.push_str("  ]\n}\n");
-    if let Err(e) = std::fs::write("BENCH_engine.json", &json) {
-        return cli::fail("simbench", format!("write BENCH_engine.json: {e}"));
-    }
-
-    // The analysis-cost datapoint: tracing + sampling ON vs OFF on the
-    // same stencil. The OFF number's stability across commits (gated in
-    // CI) is the "analysis-off hot-path cost stays ~0" guarantee.
-    let off = measurements.iter().find(|m| m.name == "stencil_16");
-    let on = measurements.iter().find(|m| m.name == "stencil_16_traced");
-    if let (Some(off), Some(on)) = (off, on) {
-        if on.events_per_sec() > 0.0 {
-            println!(
-                "analysis cost: stencil_16 traced/off wall ratio {:.2}x \
-                 ({:.0} vs {:.0} events/s)",
-                off.events_per_sec() / on.events_per_sec(),
-                on.events_per_sec(),
-                off.events_per_sec()
-            );
-        }
-    }
-
-    // tg-report-v2 companion for the CI gate: deterministic structural
-    // counts under `metrics`, machine-dependent timings under
-    // `throughput`.
     let mut report = Json::obj();
     report.set("schema", Json::Str(SCHEMA.to_string()));
     report.set("name", Json::Str("bench".to_string()));
-    let mut deterministic = Json::obj();
-    let mut throughput = Json::obj();
-    for m in &measurements {
-        deterministic.set(&format!("{}.events", m.name), Json::Num(m.events as f64));
-        deterministic.set(
-            &format!("{}.peak_queue_depth", m.name),
-            Json::Num(m.peak_queue_depth as f64),
-        );
-        throughput.set(
-            &format!("{}.events_per_sec", m.name),
-            Json::Num(m.events_per_sec()),
-        );
-        throughput.set(
-            &format!("{}.wall_seconds", m.name),
-            Json::Num(m.wall_seconds),
-        );
-    }
-    report.set("metrics", deterministic);
-    report.set("throughput", throughput);
+    report.set("metrics", metrics);
     if let Err(e) = std::fs::write("report_bench.json", report.to_string_pretty()) {
         return cli::fail("simbench", format!("write report_bench.json: {e}"));
     }
-    println!("wrote BENCH_engine.json and report_bench.json");
+    println!("wrote report_bench.json");
     ExitCode::SUCCESS
 }

@@ -1,5 +1,5 @@
 //! `simreport` — critical-path latency attribution, congestion
-//! observatory, and the perf-regression gate CLI.
+//! observatory, and the regression gate CLI.
 //!
 //! ```text
 //! simreport run [stencil16|pingpong] [--nodes N] [--interval-us U]
@@ -7,8 +7,6 @@
 //!               [--reliable] [--drop P] [--corrupt P] [--fault-seed S]
 //!               [--quiet]
 //! simreport gate --baseline FILE --current FILE
-//!               [--default-tol R] [--tol PATTERN=R]... [--skip PATTERN]...
-//! simreport degrade --in FILE --out FILE --metric PATTERN --factor F
 //! ```
 //!
 //! * `run` executes a harness workload with tracing and metric sampling
@@ -17,11 +15,9 @@
 //!   names the hottest links, and writes a `tg-report-v2` `report.json`.
 //!   `--perfetto FILE` additionally exports a Chrome trace with the
 //!   congestion time series as counter tracks.
-//! * `gate` diffs a current report against a committed baseline with
-//!   direction-aware per-metric tolerances and exits non-zero on any
-//!   regression — the CI perf gate.
-//! * `degrade` injects a synthetic regression into a report (scales
-//!   matching metrics), so CI can prove the gate actually fires.
+//! * `gate` diffs a current report against a committed baseline at zero
+//!   tolerance (a lower-better metric may only fall) and exits non-zero
+//!   on any regression — the CI gate.
 
 use std::collections::HashMap;
 use std::num::NonZeroU64;
@@ -32,8 +28,8 @@ use telegraphos::Cluster;
 use telegraphos_suite::cli::{self, Args};
 use telegraphos_suite::harness::{self, HarnessOptions, StencilCheck};
 use tg_analyze::{
-    attribute_ops, exemplar_at, gate_reports, hottest_links, link_usage, scale_matching, Json,
-    LinkUsage, OpAttribution, SegClass, Tolerances, SCHEMA,
+    attribute_ops, exemplar_at, gate_reports, hottest_links, link_usage, Json, LinkUsage,
+    OpAttribution, SegClass, SCHEMA,
 };
 use tg_sim::{LogHistogram, MetricsRegistry, SimTime};
 
@@ -335,19 +331,10 @@ fn cmd_run(args: &mut Args) -> Result<ExitCode, String> {
 fn cmd_gate(args: &mut Args) -> Result<ExitCode, String> {
     let mut baseline: Option<String> = None;
     let mut current: Option<String> = None;
-    let mut tol = Tolerances::exact();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--baseline" => baseline = Some(args.value("--baseline")?),
             "--current" => current = Some(args.value("--current")?),
-            "--default-tol" => tol.default_rel = args.value("--default-tol")?,
-            "--tol" => {
-                let v: String = args.value("--tol")?;
-                let (pat, rel) = v.split_once('=').ok_or(format!("bad --tol {v}"))?;
-                let rel: f64 = rel.parse().map_err(|_| format!("bad --tol {v}"))?;
-                tol.per_metric.push((pat.to_string(), rel));
-            }
-            "--skip" => tol.skip.push(args.value("--skip")?),
             other => return Err(format!("unknown gate argument {other}")),
         }
     }
@@ -356,16 +343,14 @@ fn cmd_gate(args: &mut Args) -> Result<ExitCode, String> {
     let read = |path: &str| -> Result<Json, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
         let doc = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-        // v1 baselines stay gateable: they are a strict field subset of
-        // v2, and current-only metrics are informational, not failures.
         if let Some(tag) = doc.get("schema").and_then(|s| s.as_str()) {
-            if !tg_analyze::schema_accepted(tag) {
+            if tag != SCHEMA {
                 return Err(format!("{path}: unsupported report schema {tag:?}"));
             }
         }
         Ok(doc)
     };
-    let result = gate_reports(&read(&baseline)?, &read(&current)?, &tol);
+    let result = gate_reports(&read(&baseline)?, &read(&current)?);
     for f in &result.failures {
         eprintln!("gate: REGRESSION {f}");
     }
@@ -377,7 +362,7 @@ fn cmd_gate(args: &mut Args) -> Result<ExitCode, String> {
     }
     if result.passed() {
         println!(
-            "gate: ok ({} metrics within tolerance, {baseline} vs {current})",
+            "gate: ok ({} metrics unchanged or improved, {baseline} vs {current})",
             result.checked
         );
         Ok(ExitCode::SUCCESS)
@@ -391,44 +376,13 @@ fn cmd_gate(args: &mut Args) -> Result<ExitCode, String> {
     }
 }
 
-fn cmd_degrade(args: &mut Args) -> Result<ExitCode, String> {
-    let mut input: Option<String> = None;
-    let mut output: Option<String> = None;
-    let mut metric: Option<String> = None;
-    let mut factor = 0.9f64;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--in" => input = Some(args.value("--in")?),
-            "--out" => output = Some(args.value("--out")?),
-            "--metric" => metric = Some(args.value("--metric")?),
-            "--factor" => factor = args.value("--factor")?,
-            other => return Err(format!("unknown degrade argument {other}")),
-        }
-    }
-    let input = input.ok_or("degrade needs --in")?;
-    let output = output.ok_or("degrade needs --out")?;
-    let metric = metric.ok_or("degrade needs --metric")?;
-    let text = std::fs::read_to_string(&input).map_err(|e| format!("read {input}: {e}"))?;
-    let mut doc = Json::parse(&text).map_err(|e| format!("{input}: {e}"))?;
-    let changed = scale_matching(&mut doc, &metric, factor);
-    if changed == 0 {
-        return Err(format!("no metric matching {metric:?} in {input}"));
-    }
-    std::fs::write(&output, doc.to_string_pretty()).map_err(|e| format!("write {output}: {e}"))?;
-    println!("degrade: scaled {changed} metric(s) matching {metric:?} by {factor} -> {output}");
-    Ok(ExitCode::SUCCESS)
-}
-
 fn main() -> ExitCode {
     let mut args = Args::from_env();
     let cmd = args.next().unwrap_or_else(|| "run".to_string());
     let result = match cmd.as_str() {
         "run" => cmd_run(&mut args),
         "gate" => cmd_gate(&mut args),
-        "degrade" => cmd_degrade(&mut args),
-        other => Err(format!(
-            "unknown subcommand {other} (expected run, gate or degrade)"
-        )),
+        other => Err(format!("unknown subcommand {other} (expected run or gate)")),
     };
     result.unwrap_or_else(|e| cli::fail("simreport", e))
 }
